@@ -289,7 +289,7 @@ impl AdmissionController {
         self.txn.admit(healthy)
     }
 
-    /// Gate in front of `run_query_opts`. Analytics admit regardless of
+    /// Gate in front of `HtapEngine::query`. Analytics admit regardless of
     /// storage health (reads keep serving while the WAL is degraded).
     pub fn admit_query(&self) -> Result<AdmitPermit<'_>> {
         self.query.admit(true)

@@ -367,12 +367,6 @@ pub trait HtapEngine: Send + Sync {
     /// for the serial probe.
     fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput>;
 
-    /// Deprecated wrapper: [`HtapEngine::query`] with default options.
-    #[deprecated(note = "use `query(spec, &QueryOpts::default())`")]
-    fn run_query(&self, spec: &QuerySpec) -> Result<QueryOutput> {
-        self.query(spec, &QueryOpts::default())
-    }
-
     /// Restores the data to its initial post-load state (the paper resets
     /// before each benchmark run, §6.1). Must be called with no concurrent
     /// traffic.
@@ -396,10 +390,6 @@ pub trait HtapEngine: Send + Sync {
         let _ = (t_cores, total);
     }
 }
-
-/// Blanket helper: a handle bundling an engine reference (used by client
-/// drivers; object-safe).
-pub type TxnHandle<'a> = Box<dyn Session + 'a>;
 
 #[cfg(test)]
 mod tests {

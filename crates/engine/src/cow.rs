@@ -21,21 +21,18 @@
 //! old, regardless of the update rate. The interval knob exposes the
 //! CH-benCHmark trade-off between snapshot frequency and performance.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hat_common::telemetry::{MetricsSnapshot, SpanTimer};
-use hat_common::{Result, Row, TableId};
-use hat_query::exec::{execute_with, QueryOpts, QueryOutput};
-use hat_query::spec::QuerySpec;
+use hat_common::Result;
 use hat_query::view::MixedView;
 use hat_txn::{SnapshotGuard, LOAD_TS};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::api::{DesignCategory, EngineConfig, HtapEngine, Session};
-use crate::kernel::{spawn_vacuum, RowKernel};
+use crate::api::{DesignCategory, EngineConfig};
+use crate::design::{Background, Design, Engine, Snapshot};
+use crate::kernel::RowKernel;
 
 /// Configuration of the snapshot engine.
 #[derive(Debug, Clone)]
@@ -61,210 +58,115 @@ impl Default for CowConfig {
 }
 
 /// A single-node engine whose analytics read periodic CoW snapshots.
-pub struct CowEngine {
-    kernel: Arc<RowKernel>,
+pub type CowEngine = Engine<Cow>;
+
+/// The copy-on-write design: analytics read the last published snapshot.
+pub struct Cow {
     config: CowConfig,
     /// Timestamp of the snapshot analytics currently read.
-    snapshot_ts: Arc<AtomicU64>,
+    snapshot_ts: AtomicU64,
     /// Standing registration of [`Self::snapshot_ts`] in the kernel's
     /// snapshot registry: it clamps the vacuum horizon at the published
     /// snapshot so stale analytical reads stay safe between refreshes.
     /// `None` while the snapshot is `LOAD_TS` (load-time base versions
     /// are never reclaimed, so no pin is needed).
-    pin: Arc<Mutex<Option<SnapshotGuard>>>,
-    snapshots_taken: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    refresher: RwLock<Option<JoinHandle<()>>>,
-    vacuum: RwLock<Option<JoinHandle<()>>>,
+    pin: Mutex<Option<SnapshotGuard>>,
+    snapshots_taken: AtomicU64,
 }
 
-/// Takes a snapshot: burns a commit timestamp while commits are stalled,
-/// re-pins the snapshot registry at it, and publishes it to analytics.
-/// Shared by [`CowEngine::refresh_snapshot`] and the refresher thread.
-fn take_snapshot(
-    kernel: &Arc<RowKernel>,
-    pin: &Mutex<Option<SnapshotGuard>>,
-    snapshot_ts: &AtomicU64,
-    snapshots_taken: &AtomicU64,
-    fork_pause: Duration,
-) {
-    // Enter the commit critical section: no commit can install while
-    // the "fork" happens, exactly like HyPer quiescing OLTP. The
-    // allocated timestamp is burned (no versions installed), which the
-    // oracle handles by advancing the horizon.
-    let guard = kernel.oracle.begin_commit();
-    if !fork_pause.is_zero() {
-        std::thread::sleep(fork_pause);
+impl Cow {
+    /// Takes a snapshot: burns a commit timestamp while commits are
+    /// stalled, re-pins the snapshot registry at it, and publishes it to
+    /// analytics.
+    fn take_snapshot(&self, kernel: &RowKernel) {
+        // Enter the commit critical section: no commit can install while
+        // the "fork" happens, exactly like HyPer quiescing OLTP. The
+        // allocated timestamp is burned (no versions installed), which the
+        // oracle handles by advancing the horizon.
+        let guard = kernel.oracle.begin_commit();
+        if !self.config.fork_pause.is_zero() {
+            std::thread::sleep(self.config.fork_pause);
+        }
+        // Everything strictly before the burned ts is installed; make the
+        // snapshot exactly that prefix.
+        let ts = guard.ts() - 1;
+        // Re-pin the vacuum horizon at the new snapshot while still inside
+        // the commit critical section: the visibility frontier (and hence
+        // any advertised prune horizon) cannot pass `ts` until the commit
+        // lock is released, so this registration never retries, and swapping
+        // new-before-old keeps the coverage chain unbroken.
+        let new_pin = kernel.snapshots.register_with(|| ts);
+        *self.pin.lock() = Some(new_pin);
+        drop(guard);
+        self.snapshot_ts.store(ts, Ordering::Release);
+        self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
     }
-    // Everything strictly before the burned ts is installed; make the
-    // snapshot exactly that prefix.
-    let ts = guard.ts() - 1;
-    // Re-pin the vacuum horizon at the new snapshot while still inside
-    // the commit critical section: the visibility frontier (and hence
-    // any advertised prune horizon) cannot pass `ts` until the commit
-    // lock is released, so this registration never retries, and swapping
-    // new-before-old keeps the coverage chain unbroken.
-    let new_pin = kernel.snapshots.register_with(|| ts);
-    *pin.lock() = Some(new_pin);
-    drop(guard);
-    snapshot_ts.store(ts, Ordering::Release);
-    snapshots_taken.fetch_add(1, Ordering::Relaxed);
 }
 
 impl CowEngine {
     /// Builds the engine; the snapshot thread starts at `finish_load`.
     pub fn new(config: CowConfig) -> Self {
-        let kernel = Arc::new(RowKernel::new(config.engine.clone()));
-        CowEngine {
+        let kernel = RowKernel::new(config.engine.clone());
+        Engine::assemble(
             kernel,
-            config,
-            snapshot_ts: Arc::new(AtomicU64::new(LOAD_TS)),
-            pin: Arc::new(Mutex::new(None)),
-            snapshots_taken: Arc::new(AtomicU64::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-            refresher: RwLock::new(None),
-            vacuum: RwLock::new(None),
-        }
+            Cow {
+                config,
+                snapshot_ts: AtomicU64::new(LOAD_TS),
+                pin: Mutex::new(None),
+                snapshots_taken: AtomicU64::new(0),
+            },
+        )
     }
 
     /// The timestamp analytics currently read (tests/diagnostics).
     pub fn snapshot_ts(&self) -> u64 {
-        self.snapshot_ts.load(Ordering::Acquire)
+        self.design.snapshot_ts.load(Ordering::Acquire)
     }
 
     /// Number of snapshots taken so far.
     pub fn snapshots_taken(&self) -> u64 {
-        self.snapshots_taken.load(Ordering::Relaxed)
+        self.design.snapshots_taken.load(Ordering::Relaxed)
     }
 
-    /// Takes a snapshot right now (also used by the background thread).
+    /// Takes a snapshot right now (also what the background thread does).
     /// Commits are stalled for the configured fork pause while the
     /// snapshot point is chosen.
     pub fn refresh_snapshot(&self) {
-        take_snapshot(
-            &self.kernel,
-            &self.pin,
-            &self.snapshot_ts,
-            &self.snapshots_taken,
-            self.config.fork_pause,
-        );
-    }
-
-    fn spawn_refresher(&self) {
-        let stop = Arc::clone(&self.stop);
-        let interval = self.config.snapshot_interval;
-        let engine_ptr = SelfPtr {
-            kernel: Arc::clone(&self.kernel),
-            snapshot_ts: Arc::clone(&self.snapshot_ts),
-            pin: Arc::clone(&self.pin),
-            snapshots_taken: Arc::clone(&self.snapshots_taken),
-            fork_pause: self.config.fork_pause,
-        };
-        let handle = std::thread::Builder::new()
-            .name("cow-refresher".into())
-            .spawn(move || {
-                // Sleep in short slices so a long snapshot interval does
-                // not wedge shutdown: Drop joins this thread.
-                'refresh: while !stop.load(Ordering::Relaxed) {
-                    let mut slept = Duration::ZERO;
-                    while slept < interval {
-                        if stop.load(Ordering::Relaxed) {
-                            break 'refresh;
-                        }
-                        let slice = (interval - slept).min(Duration::from_millis(5));
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                    engine_ptr.refresh();
-                }
-            })
-            .expect("spawn snapshot refresher");
-        *self.refresher.write() = Some(handle);
+        self.design.take_snapshot(&self.kernel);
     }
 }
 
-/// The refresher thread's view of the engine (avoids a self-Arc cycle).
-struct SelfPtr {
-    kernel: Arc<RowKernel>,
-    snapshot_ts: Arc<AtomicU64>,
-    pin: Arc<Mutex<Option<SnapshotGuard>>>,
-    snapshots_taken: Arc<AtomicU64>,
-    fork_pause: Duration,
-}
+impl Design for Cow {
+    const CATEGORY: DesignCategory = DesignCategory::Shared;
 
-impl SelfPtr {
-    fn refresh(&self) {
-        take_snapshot(
-            &self.kernel,
-            &self.pin,
-            &self.snapshot_ts,
-            &self.snapshots_taken,
-            self.fork_pause,
-        );
-    }
-}
-
-impl HtapEngine for CowEngine {
-    fn name(&self) -> String {
-        format!(
-            "cow-snapshot[{}ms]",
-            self.config.snapshot_interval.as_millis()
-        )
+    fn name(&self, _kernel: &RowKernel) -> String {
+        format!("cow-snapshot[{}ms]", self.config.snapshot_interval.as_millis())
     }
 
-    fn design(&self) -> DesignCategory {
-        DesignCategory::Shared
+    fn snapshot<'a>(&'a self, kernel: &'a RowKernel) -> Result<Snapshot<'a>> {
+        // Analytics read the last snapshot, not the current horizon:
+        // bounded staleness, no interference with in-flight commits'
+        // version installation. Registering at the published snapshot
+        // never spins: the standing pin keeps the prune horizon at or
+        // below it, and during the instant a refresh moves the pin before
+        // publishing the new timestamp, a retry simply re-reads
+        // `snapshot_ts`.
+        let guard = kernel.snapshots.register_with(|| self.snapshot_ts.load(Ordering::Acquire));
+        let view = Box::new(MixedView::rows(&kernel.db, guard.ts()));
+        Ok(Snapshot { guard, view })
     }
 
-    fn set_txn_cores(&self, t_cores: u32, total: u32) {
-        self.kernel.set_txn_core_fraction(t_cores, total);
-    }
-
-    fn load(&self, table: TableId, rows: &mut dyn Iterator<Item = Row>) -> Result<()> {
-        self.kernel.load(table, rows)
-    }
-
-    fn finish_load(&self) -> Result<()> {
-        self.kernel.finish_load();
-        self.spawn_refresher();
+    fn start(self: &Arc<Self>, kernel: &Arc<RowKernel>, background: &Background) -> Result<()> {
         // The standing pin clamps the kernel's vacuum at the published
-        // snapshot, so the background pass needs no extra work here.
-        *self.vacuum.write() = spawn_vacuum(&self.kernel, &self.stop, || {});
+        // snapshot, so the vacuum pass needs no extra work here.
+        let (cow, kernel) = (Arc::clone(self), Arc::clone(kernel));
+        background.every("cow-refresher", self.config.snapshot_interval, move || {
+            cow.take_snapshot(&kernel);
+        });
         Ok(())
     }
 
-    fn begin(&self) -> Box<dyn Session + '_> {
-        Box::new(self.kernel.begin_session())
-    }
-
-    fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput> {
-        // A-class overload gate: a no-op unless admission is enabled, a
-        // bounded sojourn-deadline-shed queue when it is. Shed queries
-        // never execute and are not counted as executed.
-        let _admit = self.kernel.admission.admit_query()?;
-        self.kernel.stats.queries.inc();
-        // Analytics read the last snapshot, not the current horizon:
-        // bounded staleness, no interference with in-flight commits'
-        // version installation.
-        let span = SpanTimer::start();
-        // Registering at the published snapshot never spins: the standing
-        // pin keeps the prune horizon at or below it, and during the
-        // instant a refresh moves the pin before publishing the new
-        // timestamp, a retry simply re-reads `snapshot_ts`.
-        let _guard = self
-            .kernel
-            .snapshots
-            .register_with(|| self.snapshot_ts.load(Ordering::Acquire));
-        let ts = _guard.ts();
-        span.finish(&self.kernel.stats.snapshot_span);
-        let view = MixedView::rows(&self.kernel.db, ts);
-        let out = execute_with(spec, &view, opts);
-        self.kernel.stats.record_exec(&out.stats);
-        Ok(out)
-    }
-
-    fn reset(&self) -> Result<()> {
-        self.kernel.reset()?;
+    fn after_reset(&self, _kernel: &RowKernel) {
         // Re-point analytics at the loaded state until the next refresh.
         // The standing pin is dropped rather than moved: a snapshot at
         // `LOAD_TS` needs no pin because the store never reclaims
@@ -272,28 +174,15 @@ impl HtapEngine for CowEngine {
         // in `kernel.reset()` possible at all).
         *self.pin.lock() = None;
         self.snapshot_ts.store(LOAD_TS, Ordering::Release);
-        Ok(())
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.kernel.metrics()
-    }
-}
-
-impl Drop for CowEngine {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for slot in [&self.refresher, &self.vacuum] {
-            if let Some(handle) = slot.write().take() {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::HtapEngine;
+    use hat_common::{Row, TableId};
+    use hat_query::exec::QueryOpts;
     use hat_common::telemetry::names;
     use hat_common::value::row_from;
     use hat_common::Value;

@@ -13,26 +13,21 @@
 //!   read-index wait until the learner reaches the query's start timestamp,
 //!   so freshness is zero at the cost of wait latency.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::RecvTimeoutError;
-use hat_common::telemetry::{names, MetricsSnapshot, SpanTimer};
-use hat_common::{HatError, Result, Row, TableId};
-use hat_query::exec::{execute_with, QueryOpts, QueryOutput};
-use hat_query::spec::QuerySpec;
+use hat_common::telemetry::{names, MetricsSnapshot};
+use hat_common::{HatError, Result, TableId};
 use hat_query::view::MixedView;
 use hat_storage::colstore::{ColumnTable, DimColumnCopy};
-use hat_storage::wal::{TableOp, Wal, DEFAULT_RETENTION};
-use hat_txn::{IsolationLevel, Ts, Watermark, LOAD_TS};
-use parking_lot::RwLock;
+use hat_storage::wal::{LogRecord, TableOp, DEFAULT_RETENTION};
+use hat_txn::{IsolationLevel, Ts, LOAD_TS};
 
-use crate::api::{
-    DesignCategory, EngineConfig, HtapEngine, IndexProfile, Session,
-};
-use crate::kernel::{spawn_vacuum, CommitHooks, RowKernel};
+use crate::api::{DesignCategory, EngineConfig, IndexProfile};
+use crate::design::{Background, Design, Engine, Snapshot};
+use crate::follower::{Follower, Pace, Replay};
+use crate::kernel::{CommitHooks, RowKernel};
 use crate::netsim::NetworkLink;
 
 /// The columnar side shared by both hybrid engines: a live fact copy
@@ -137,6 +132,16 @@ impl ColumnarSide {
             dim.reset();
         }
     }
+
+    /// The columnar gauges both hybrid engines report.
+    fn gauges(&self, snap: &mut MetricsSnapshot) {
+        snap.set_gauge(names::DELTA_ROWS, self.lineorder.delta_len() as u64);
+        snap.set_gauge(names::COLSTORE_BYTES_ENCODED, self.lineorder.approx_bytes() as u64);
+        snap.set_gauge(
+            names::COLSTORE_BYTES_DECODED,
+            self.lineorder.decoded_bytes_equiv() as u64,
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -194,13 +199,12 @@ impl CommitHooks for DualHooks {
 }
 
 /// A single-node dual-format in-memory engine.
-pub struct DualEngine {
-    kernel: Arc<RowKernel>,
+pub type DualEngine = Engine<Dual>;
+
+/// The dual-format design: queries merge the columnar delta on read.
+pub struct Dual {
     columnar: Arc<ColumnarSide>,
     config: DualConfig,
-    stop: Arc<AtomicBool>,
-    compactor: RwLock<Option<JoinHandle<()>>>,
-    vacuum: RwLock<Option<JoinHandle<()>>>,
 }
 
 impl DualEngine {
@@ -208,7 +212,7 @@ impl DualEngine {
     pub fn new(config: DualConfig) -> Self {
         let columnar = Arc::new(ColumnarSide::new());
         let hooks = Arc::new(DualHooks { columnar: Arc::clone(&columnar) });
-        let kernel = Arc::new(RowKernel::with_hooks(
+        let kernel = RowKernel::with_hooks(
             EngineConfig {
                 isolation: IsolationLevel::Serializable,
                 indexes: config.indexes,
@@ -219,128 +223,56 @@ impl DualEngine {
                 ..EngineConfig::default()
             },
             hooks,
-        ));
-        DualEngine {
-            kernel,
-            columnar,
-            config,
-            stop: Arc::new(AtomicBool::new(false)),
-            compactor: RwLock::new(None),
-            vacuum: RwLock::new(None),
-        }
+        );
+        Engine::assemble(kernel, Dual { columnar, config })
     }
 
     /// Current delta size (tests, stats).
     pub fn delta_rows(&self) -> usize {
-        self.columnar.lineorder.delta_len()
+        self.design.columnar.lineorder.delta_len()
     }
 
     /// Number of sealed lineorder segments (tests).
     pub fn lineorder_segments(&self) -> usize {
-        self.columnar.lineorder.segment_count()
-    }
-
-    fn spawn_compactor(&self) {
-        let columnar = Arc::clone(&self.columnar);
-        let kernel = Arc::clone(&self.kernel);
-        let stop = Arc::clone(&self.stop);
-        let threshold = self.config.merge_threshold;
-        let interval = self.config.merge_interval;
-        let handle = std::thread::Builder::new()
-            .name("dual-compactor".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    columnar.merge_background(kernel.oracle.read_ts(), threshold);
-                    std::thread::sleep(interval);
-                }
-            })
-            .expect("spawn compactor");
-        *self.compactor.write() = Some(handle);
+        self.design.columnar.lineorder.segment_count()
     }
 }
 
-impl HtapEngine for DualEngine {
-    fn name(&self) -> String {
+impl Design for Dual {
+    const CATEGORY: DesignCategory = DesignCategory::Hybrid;
+
+    fn name(&self, _kernel: &RowKernel) -> String {
         "dual-format[serializable]".to_string()
     }
 
-    fn design(&self) -> DesignCategory {
-        DesignCategory::Hybrid
-    }
-
-    fn set_txn_cores(&self, t_cores: u32, total: u32) {
-        self.kernel.set_txn_core_fraction(t_cores, total);
-    }
-
-    fn load(&self, table: TableId, rows: &mut dyn Iterator<Item = Row>) -> Result<()> {
-        self.kernel.load(table, rows)
-    }
-
-    fn finish_load(&self) -> Result<()> {
-        self.kernel.finish_load();
-        self.columnar.build_from(&self.kernel);
-        self.spawn_compactor();
-        // Row-side MVCC vacuum; the columnar side has its own compactor.
-        *self.vacuum.write() = spawn_vacuum(&self.kernel, &self.stop, || {});
-        Ok(())
-    }
-
-    fn begin(&self) -> Box<dyn Session + '_> {
-        Box::new(self.kernel.begin_session())
-    }
-
-    fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput> {
-        // A-class overload gate: a no-op unless admission is enabled, a
-        // bounded sojourn-deadline-shed queue when it is. Shed queries
-        // never execute and are not counted as executed.
-        let _admit = self.kernel.admission.admit_query()?;
-        self.kernel.stats.queries.inc();
+    fn snapshot<'a>(&'a self, kernel: &'a RowKernel) -> Result<Snapshot<'a>> {
         // Merge-on-read: the snapshot at the query's start includes every
         // delta row up to ts — the latest updates are always merged before
-        // execution, so freshness is zero (§6.4). The snapshot span prices
+        // execution, so freshness is zero (§6.4). The timed step prices
         // that merge-on-read view construction.
-        let span = SpanTimer::start();
-        let _guard = self
-            .kernel
-            .snapshots
-            .register_with(|| self.kernel.oracle.read_ts());
-        let ts = _guard.ts();
-        let view = self.columnar.view(&self.kernel, ts);
-        span.finish(&self.kernel.stats.snapshot_span);
-        let out = execute_with(spec, &view, opts);
-        self.kernel.stats.record_exec(&out.stats);
-        Ok(out)
+        let guard = kernel.snapshots.register_with(|| kernel.oracle.read_ts());
+        let view = Box::new(self.columnar.view(kernel, guard.ts()));
+        Ok(Snapshot { guard, view })
     }
 
-    fn reset(&self) -> Result<()> {
-        self.kernel.reset()?;
-        self.columnar.reset();
+    fn start(self: &Arc<Self>, kernel: &Arc<RowKernel>, background: &Background) -> Result<()> {
+        self.columnar.build_from(kernel);
+        // The columnar side has its own compactor; the row side gets the
+        // kernel's MVCC vacuum.
+        let (columnar, kernel) = (Arc::clone(&self.columnar), Arc::clone(kernel));
+        let threshold = self.config.merge_threshold;
+        background.every("dual-compactor", self.config.merge_interval, move || {
+            columnar.merge_background(kernel.oracle.read_ts(), threshold);
+        });
         Ok(())
     }
 
-    fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.kernel.metrics();
-        snap.set_gauge(names::DELTA_ROWS, self.columnar.lineorder.delta_len() as u64);
-        snap.set_gauge(
-            names::COLSTORE_BYTES_ENCODED,
-            self.columnar.lineorder.approx_bytes() as u64,
-        );
-        snap.set_gauge(
-            names::COLSTORE_BYTES_DECODED,
-            self.columnar.lineorder.decoded_bytes_equiv() as u64,
-        );
-        snap
+    fn after_reset(&self, _kernel: &RowKernel) {
+        self.columnar.reset();
     }
-}
 
-impl Drop for DualEngine {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for slot in [&self.compactor, &self.vacuum] {
-            if let Some(handle) = slot.write().take() {
-                let _ = handle.join();
-            }
-        }
+    fn gauges(&self, _kernel: &RowKernel, snap: &mut MetricsSnapshot) {
+        self.columnar.gauges(snap);
     }
 }
 
@@ -358,6 +290,9 @@ pub enum LearnerProfile {
     /// network bandwidth", §6.5.2).
     Distributed,
 }
+
+/// Consensus rounds per commit in both profiles: 2PC prewrite + commit.
+const COMMIT_ROUNDS: u32 = 2;
 
 impl LearnerProfile {
     /// Label used in reports.
@@ -377,14 +312,6 @@ impl LearnerProfile {
         match self {
             LearnerProfile::SingleNode => Duration::from_micros(200),
             LearnerProfile::Distributed => Duration::from_micros(600),
-        }
-    }
-
-    fn commit_rounds(self) -> u32 {
-        // 2PC: prewrite + commit quorum rounds in both profiles.
-        match self {
-            LearnerProfile::SingleNode => 2,
-            LearnerProfile::Distributed => 2,
         }
     }
 }
@@ -437,15 +364,36 @@ impl Default for LearnerConfig {
     }
 }
 
+/// The learner's replay step: the columnar copy and its apply cost.
+struct Learn {
+    columnar: ColumnarSide,
+    apply_cost: Duration,
+    merge_threshold: usize,
+}
+
+impl Replay for Learn {
+    fn throttle(&self, _record: &LogRecord, _pace: &Pace<'_>) -> bool {
+        if !self.apply_cost.is_zero() {
+            std::thread::sleep(self.apply_cost);
+        }
+        true
+    }
+
+    fn apply(&self, record: &LogRecord) {
+        for op in &record.ops {
+            self.columnar.apply_op(record.commit_ts, op);
+        }
+    }
+
+    fn after_advance(&self, commit_ts: Ts) {
+        self.columnar.merge_background(commit_ts, self.merge_threshold);
+    }
+}
+
 /// Commit hooks: consensus latency before install, log append inside.
 struct LearnerHooks {
-    wal: Arc<Wal>,
+    follower: Arc<Follower<Learn>>,
     link: Arc<NetworkLink>,
-    rounds: u32,
-    backlog: Arc<AtomicU64>,
-    /// Highest commit timestamp with a log record (see the isolated
-    /// engine: burned timestamps never produce records).
-    last_logged: Arc<AtomicU64>,
     /// Bound on the consensus wait; see [`LearnerConfig::consensus_timeout`].
     consensus_timeout: Duration,
 }
@@ -457,14 +405,12 @@ impl CommitHooks for LearnerHooks {
         // has been installed: surface a clean, retryable abort rather
         // than an in-doubt timeout.
         self.link
-            .try_delay(self.rounds * 2, self.consensus_timeout)
+            .try_delay(COMMIT_ROUNDS * 2, self.consensus_timeout)
             .map_err(|_| HatError::ReplicaUnavailable)
     }
 
     fn on_install(&self, ts: Ts, ops: &[TableOp]) {
-        self.backlog.fetch_add(1, Ordering::Relaxed);
-        self.last_logged.store(ts, Ordering::Release);
-        self.wal.append(ts, ops.to_vec());
+        self.follower.log(ts, ops);
     }
 
     // The learner log is a totally ordered stream; sharded commits must
@@ -474,54 +420,36 @@ impl CommitHooks for LearnerHooks {
     }
 }
 
-/// Stop flag + handle of one incarnation of the learner thread.
-struct LearnerCtl {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
 /// A consensus-commit row store with an asynchronous columnar learner.
-pub struct LearnerEngine {
-    kernel: Arc<RowKernel>,
-    columnar: Arc<ColumnarSide>,
-    wal: Arc<Wal>,
-    link: Arc<NetworkLink>,
-    applied: Arc<Watermark>,
-    backlog: Arc<AtomicU64>,
-    last_logged: Arc<AtomicU64>,
-    /// Highest log LSN the learner has applied; survives a learner crash
-    /// so a restart can rejoin the log without loss or duplication.
-    applied_lsn: Arc<AtomicU64>,
-    /// The learner is crashed: read-index waits will time out.
-    down: AtomicBool,
-    /// Drops the simulated apply cost while quiescing (see the isolated
-    /// engine's fast-drain; harness hygiene only).
-    fast_drain: Arc<AtomicBool>,
+pub type LearnerEngine = Engine<Learner>;
+
+/// The learner design: a log follower maintains the columnar copy and
+/// queries wait on its read index.
+pub struct Learner {
     config: LearnerConfig,
-    learner: RwLock<Option<LearnerCtl>>,
-    stop_vacuum: Arc<AtomicBool>,
-    vacuum: RwLock<Option<JoinHandle<()>>>,
+    link: Arc<NetworkLink>,
+    follower: Arc<Follower<Learn>>,
 }
 
 impl LearnerEngine {
     /// Builds the engine; the learner thread starts at `finish_load`.
     pub fn new(config: LearnerConfig) -> Self {
-        let wal = Arc::new(Wal::with_retention(config.wal_retention));
-        let backlog = Arc::new(AtomicU64::new(0));
         let link = Arc::new(NetworkLink::new(
             config.profile.link_one_way(),
             config.profile.link_one_way() / 4,
         ));
-        let last_logged = Arc::new(AtomicU64::new(LOAD_TS));
+        let learn = Learn {
+            columnar: ColumnarSide::new(),
+            apply_cost: config.apply_cost,
+            merge_threshold: config.merge_threshold,
+        };
+        let follower = Arc::new(Follower::new("tiflash-learner", config.wal_retention, learn));
         let hooks = Arc::new(LearnerHooks {
-            wal: Arc::clone(&wal),
+            follower: Arc::clone(&follower),
             link: Arc::clone(&link),
-            rounds: config.profile.commit_rounds(),
-            backlog: Arc::clone(&backlog),
-            last_logged: Arc::clone(&last_logged),
             consensus_timeout: config.consensus_timeout,
         });
-        let kernel = Arc::new(RowKernel::with_hooks(
+        let kernel = RowKernel::with_hooks(
             EngineConfig {
                 // TiDB default: snapshot-isolated reads (§6.5.1).
                 isolation: IsolationLevel::SnapshotIsolation,
@@ -533,43 +461,28 @@ impl LearnerEngine {
                 ..EngineConfig::default()
             },
             hooks,
-        ));
-        LearnerEngine {
-            kernel,
-            columnar: Arc::new(ColumnarSide::new()),
-            wal,
-            link,
-            applied: Arc::new(Watermark::new(LOAD_TS)),
-            backlog,
-            last_logged,
-            applied_lsn: Arc::new(AtomicU64::new(0)),
-            down: AtomicBool::new(false),
-            fast_drain: Arc::new(AtomicBool::new(false)),
-            config,
-            learner: RwLock::new(None),
-            stop_vacuum: Arc::new(AtomicBool::new(false)),
-            vacuum: RwLock::new(None),
-        }
+        );
+        Engine::assemble(kernel, Learner { config, link, follower })
     }
 
     /// The deployment profile.
     pub fn profile(&self) -> LearnerProfile {
-        self.config.profile
+        self.design.config.profile
     }
 
     /// The learner's applied horizon (tests, diagnostics).
     pub fn applied_ts(&self) -> Ts {
-        self.applied.get()
+        self.design.follower.applied.get()
     }
 
     /// The consensus/learner link — the chaos surface for this engine.
     pub fn link(&self) -> &Arc<NetworkLink> {
-        &self.link
+        &self.design.link
     }
 
     /// Whether the learner is currently crashed.
     pub fn is_learner_down(&self) -> bool {
-        self.down.load(Ordering::Acquire)
+        self.design.follower.is_down()
     }
 
     /// Kills the learner thread, simulating a TiFlash node crash. The
@@ -577,12 +490,7 @@ impl LearnerEngine {
     /// succeeding (the learner is not in the commit quorum), but
     /// analytical read-index waits start timing out.
     pub fn crash_learner(&self) {
-        let ctl = self.learner.write().take();
-        if let Some(ctl) = ctl {
-            self.down.store(true, Ordering::Release);
-            ctl.stop.store(true, Ordering::Release);
-            let _ = ctl.handle.join();
-        }
+        self.design.follower.crash();
     }
 
     /// Restarts a crashed learner: rejoins the log at the last applied
@@ -590,12 +498,7 @@ impl LearnerEngine {
     /// Fails with [`HatError::WalTruncated`] if the learner fell behind
     /// the retention ring.
     pub fn restart_learner(&self) -> Result<()> {
-        if !self.is_learner_down() {
-            return Ok(());
-        }
-        self.spawn_learner()?;
-        self.down.store(false, Ordering::Release);
-        Ok(())
+        self.design.follower.restart(&self.background)
     }
 
     /// Blocks until the learner has consumed everything committed so far,
@@ -603,162 +506,64 @@ impl LearnerEngine {
     /// learner must be up; recover a crash via
     /// [`LearnerEngine::restart_learner`] first.
     pub fn quiesce_learner(&self) {
-        debug_assert!(!self.is_learner_down(), "quiesce requires a live learner");
-        self.fast_drain.store(true, Ordering::Release);
-        self.applied.wait_for(self.last_logged.load(Ordering::Acquire));
-        self.fast_drain.store(false, Ordering::Release);
-    }
-
-    fn spawn_learner(&self) -> Result<()> {
-        let from = self.applied_lsn.load(Ordering::Acquire) + 1;
-        let rx = self.wal.subscribe_from(from)?;
-        // Catch-up suffix replays at memory speed; later records pay the
-        // normal apply cost.
-        let catchup_end = self.wal.appended();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let columnar = Arc::clone(&self.columnar);
-        let applied = Arc::clone(&self.applied);
-        let applied_lsn = Arc::clone(&self.applied_lsn);
-        let backlog = Arc::clone(&self.backlog);
-        let fast_drain = Arc::clone(&self.fast_drain);
-        let apply_cost = self.config.apply_cost;
-        let threshold = self.config.merge_threshold;
-        const POLL: Duration = Duration::from_millis(5);
-        let handle = std::thread::Builder::new()
-            .name("tiflash-learner".into())
-            .spawn(move || loop {
-                if stop2.load(Ordering::Acquire) {
-                    break;
-                }
-                let record = match rx.recv_timeout(POLL) {
-                    Ok(record) => record,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                let throttled = record.lsn > catchup_end
-                    && !fast_drain.load(Ordering::Acquire);
-                if throttled && !apply_cost.is_zero() {
-                    std::thread::sleep(apply_cost);
-                }
-                for op in &record.ops {
-                    columnar.apply_op(record.commit_ts, op);
-                }
-                applied_lsn.store(record.lsn, Ordering::Release);
-                backlog.fetch_sub(1, Ordering::Relaxed);
-                applied.advance(record.commit_ts);
-                columnar.merge_background(record.commit_ts, threshold);
-            })
-            .expect("spawn learner");
-        *self.learner.write() = Some(LearnerCtl { stop, handle });
-        Ok(())
+        self.design.follower.quiesce();
     }
 }
 
-impl HtapEngine for LearnerEngine {
-    fn name(&self) -> String {
+impl Design for Learner {
+    const CATEGORY: DesignCategory = DesignCategory::Hybrid;
+
+    fn name(&self, _kernel: &RowKernel) -> String {
         format!("learner[{}]", self.config.profile.label())
     }
 
-    fn design(&self) -> DesignCategory {
-        DesignCategory::Hybrid
-    }
-
-    fn set_txn_cores(&self, t_cores: u32, total: u32) {
-        self.kernel.set_txn_core_fraction(t_cores, total);
-    }
-
-    fn load(&self, table: TableId, rows: &mut dyn Iterator<Item = Row>) -> Result<()> {
-        self.kernel.load(table, rows)
-    }
-
-    fn finish_load(&self) -> Result<()> {
-        self.kernel.finish_load();
-        self.columnar.build_from(&self.kernel);
-        // Row-side MVCC vacuum. The columnar copy prunes itself at the
-        // applied watermark (the learner thread's merge_background).
-        *self.vacuum.write() = spawn_vacuum(&self.kernel, &self.stop_vacuum, || {});
-        self.spawn_learner()
-    }
-
-    fn begin(&self) -> Box<dyn Session + '_> {
-        Box::new(self.kernel.begin_session())
-    }
-
-    fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput> {
-        // A-class overload gate: a no-op unless admission is enabled, a
-        // bounded sojourn-deadline-shed queue when it is. Shed queries
-        // never execute and are not counted as executed.
-        let _admit = self.kernel.admission.admit_query()?;
-        self.kernel.stats.queries.inc();
+    fn snapshot<'a>(&'a self, kernel: &'a RowKernel) -> Result<Snapshot<'a>> {
         // Read-index wait: TiDB merges the tail of the log with the
         // analytical data before executing, so the query sees everything
         // committed before its start — freshness zero by construction
-        // (§6.5.1), paid as wait latency here. The snapshot span prices
-        // that wait plus view construction. The guard is taken before the
-        // wait so vacuum cannot pass the query's snapshot while it blocks.
-        let span = SpanTimer::start();
-        let _guard = self
-            .kernel
-            .snapshots
-            .register_with(|| self.kernel.oracle.read_ts());
-        let ts = _guard.ts();
+        // (§6.5.1), paid as wait latency here. The timed step prices that
+        // wait plus view construction. The guard is taken before the wait
+        // so vacuum cannot pass the query's snapshot while it blocks.
+        let guard = kernel.snapshots.register_with(|| kernel.oracle.read_ts());
         // Wait only up to the last logged commit: timestamps burned
         // without a record (aborted installs) never reach the learner,
         // and nothing with a record in (last_logged, ts] exists. Bounded:
         // a crashed learner must fail the query, not hang the client.
-        let target = ts.min(self.last_logged.load(Ordering::Acquire));
-        if !self.applied.wait_for_timeout(target, self.config.read_index_timeout) {
+        let target = guard.ts().min(self.follower.last_logged());
+        if !self.follower.applied.wait_for_timeout(target, self.config.read_index_timeout) {
             return Err(HatError::ReplicaUnavailable);
         }
-        let view = self.columnar.view(&self.kernel, ts);
-        span.finish(&self.kernel.stats.snapshot_span);
-        let out = execute_with(spec, &view, opts);
-        self.kernel.stats.record_exec(&out.stats);
-        Ok(out)
+        let view = Box::new(self.follower.target.columnar.view(kernel, guard.ts()));
+        Ok(Snapshot { guard, view })
     }
 
-    fn reset(&self) -> Result<()> {
-        self.restart_learner()?;
-        self.quiesce_learner();
-        self.kernel.reset()?;
-        self.columnar.reset();
-        Ok(())
+    fn start(self: &Arc<Self>, kernel: &Arc<RowKernel>, background: &Background) -> Result<()> {
+        // The row side gets the kernel's MVCC vacuum; the columnar copy
+        // prunes itself at the applied watermark (the follower's merge).
+        self.follower.target.columnar.build_from(kernel);
+        self.follower.start(background)
     }
 
-    fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.kernel.metrics();
-        snap.set_gauge(names::REPL_BACKLOG, self.backlog.load(Ordering::Relaxed));
-        snap.set_gauge(names::DELTA_ROWS, self.columnar.lineorder.delta_len() as u64);
-        snap.set_gauge(
-            names::COLSTORE_BYTES_ENCODED,
-            self.columnar.lineorder.approx_bytes() as u64,
-        );
-        snap.set_gauge(
-            names::COLSTORE_BYTES_DECODED,
-            self.columnar.lineorder.decoded_bytes_equiv() as u64,
-        );
-        snap
+    fn before_reset(&self, background: &Background) -> Result<()> {
+        self.follower.drain(background)
     }
-}
 
-impl Drop for LearnerEngine {
-    fn drop(&mut self) {
-        self.wal.close();
-        self.stop_vacuum.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.vacuum.write().take() {
-            let _ = handle.join();
-        }
-        if let Some(ctl) = self.learner.write().take() {
-            ctl.stop.store(true, Ordering::Release);
-            let _ = ctl.handle.join();
-        }
+    fn after_reset(&self, _kernel: &RowKernel) {
+        self.follower.target.columnar.reset();
+    }
+
+    fn gauges(&self, _kernel: &RowKernel, snap: &mut MetricsSnapshot) {
+        snap.set_gauge(names::REPL_BACKLOG, self.follower.backlog());
+        self.follower.target.columnar.gauges(snap);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::HtapEngine;
+    use hat_common::Row;
+    use hat_query::exec::QueryOpts;
     use hat_common::value::row_from;
     use hat_common::{Money, Value};
     use hat_query::predicate::Predicate;
@@ -932,7 +737,7 @@ mod tests {
             assert!(s.commit().unwrap().is_acked());
         }
         engine.quiesce_learner();
-        assert!(engine.columnar.lineorder.segment_count() >= 2);
+        assert!(engine.design.follower.target.columnar.lineorder.segment_count() >= 2);
         engine.reset().unwrap();
         let out = engine.query(&sum_revenue_spec(), &QueryOpts::default()).unwrap();
         assert_eq!(out.groups[0].agg, 1000);

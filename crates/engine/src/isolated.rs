@@ -18,25 +18,21 @@
 //!   the replica has applied the record; freshness is zero but commit
 //!   latency includes shipping + queueing + replay (the paper's "RA" mode).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::RecvTimeoutError;
 use hat_common::clock::BenchClock;
-use hat_common::telemetry::{names, MetricsSnapshot, SpanTimer};
+use hat_common::telemetry::{names, MetricsSnapshot};
 use hat_common::{HatError, Result, Row, TableId};
-use hat_query::exec::{execute_with, QueryOpts, QueryOutput};
-use hat_query::spec::QuerySpec;
 use hat_query::view::MixedView;
 use hat_storage::rowstore::RowDb;
-use hat_storage::wal::{TableOp, Wal, DEFAULT_RETENTION};
-use hat_txn::{SnapshotRegistry, Ts, Watermark, LOAD_TS};
-use parking_lot::RwLock;
+use hat_storage::wal::{LogRecord, TableOp, DEFAULT_RETENTION};
+use hat_txn::{SnapshotRegistry, Ts, LOAD_TS};
 
-use crate::api::{DesignCategory, EngineConfig, HtapEngine, Session};
-use crate::kernel::{spawn_vacuum, CommitHooks, RowKernel};
+use crate::api::{DesignCategory, EngineConfig};
+use crate::design::{Background, Design, Engine, Snapshot};
+use crate::follower::{Follower, Pace, Replay, POLL};
+use crate::kernel::{CommitHooks, RowKernel};
 use crate::netsim::NetworkLink;
 
 /// PostgreSQL-style `synchronous_commit` settings.
@@ -115,53 +111,83 @@ impl IsoConfig {
     }
 }
 
-/// The standby node: its own row database, indexes for analytical plans,
-/// and the applied-timestamp watermark.
-struct Replica {
+/// The standby node: its own row database and the replay step that
+/// keeps it current.
+struct Standby {
     db: RowDb,
-    applied: Watermark,
-    /// Active snapshots over the replica's database. Replica queries
+    /// Active snapshots over the standby's database. Replica queries
     /// register here (not in the primary kernel's registry): the standby
     /// prunes against its *applied* watermark, independent of the
     /// primary's visibility frontier.
     snapshots: Arc<SnapshotRegistry>,
-    /// Records shipped but not yet applied.
-    backlog: AtomicU64,
-    /// Highest LSN the replay thread has applied. Survives a replay-thread
-    /// crash, so a restart can rejoin the WAL at `applied_lsn + 1` without
-    /// losing or double-applying records.
-    applied_lsn: AtomicU64,
-    /// The standby is crashed: no replay thread is consuming the WAL, and
-    /// synchronous commits cannot get their acknowledgements.
-    down: AtomicBool,
-    /// When set, the replay thread skips its simulated transit/apply
-    /// delays — used by reset/quiesce to drain the backlog at memory
-    /// speed (catch-up recovery runs unthrottled in real systems too;
-    /// only the measured benchmark phases model apply cost).
-    fast_drain: AtomicBool,
+    link: Arc<NetworkLink>,
+    one_way: Duration,
+    replay_cost: Duration,
 }
 
-/// Commit hooks on the primary: append to the WAL inside installation;
-/// apply the mode's wait afterwards.
+impl Replay for Standby {
+    fn throttle(&self, record: &LogRecord, pace: &Pace<'_>) -> bool {
+        // Records cannot cross a partitioned link; park until it heals,
+        // still honoring crash/quiesce.
+        while !self.link.wait_healthy_until(Instant::now() + POLL) {
+            if pace.stopped() {
+                return false;
+            }
+            if pace.draining() {
+                break;
+            }
+        }
+        // Model transit: the record becomes available one-way latency
+        // after it was sent. Only sleep the remainder — shipping overlaps
+        // with queueing.
+        let available_at = record.sent_at + self.one_way.as_nanos() as u64;
+        let now = BenchClock::global().now();
+        if now < available_at {
+            std::thread::sleep(Duration::from_nanos(available_at - now));
+        }
+        // Per-record standby apply cost.
+        if !self.replay_cost.is_zero() {
+            std::thread::sleep(self.replay_cost);
+        }
+        true
+    }
+
+    fn apply(&self, record: &LogRecord) {
+        for op in &record.ops {
+            match op {
+                TableOp::Insert { table, rid, row } => {
+                    // Gapped: the log is timestamp-ordered, but at
+                    // shards > 1 rid allocation interleaves across
+                    // shards, so a later-ts record can carry an earlier
+                    // rid.
+                    self.db
+                        .store(*table)
+                        .install_insert_gapped(*rid, Arc::clone(row), record.commit_ts)
+                        .expect("replica applies each rid once");
+                }
+                TableOp::Update { table, rid, row } => {
+                    self.db
+                        .store(*table)
+                        .install_update(*rid, Arc::clone(row), record.commit_ts)
+                        .expect("replica row exists");
+                }
+            }
+        }
+    }
+}
+
+/// Commit hooks on the primary: log inside installation; apply the mode's
+/// wait afterwards.
 struct PrimaryHooks {
-    wal: Arc<Wal>,
-    link: Arc<NetworkLink>,
+    follower: Arc<Follower<Standby>>,
     mode: ReplicationMode,
-    replica: Arc<Replica>,
-    /// Highest commit timestamp with a WAL record. Timestamps *without*
-    /// records exist (serializable validation failures burn one), so
-    /// waiting for the replica must target this, not the read horizon.
-    last_logged: Arc<AtomicU64>,
     /// Bound on the synchronous wait; see [`IsoConfig::commit_timeout`].
     commit_timeout: Duration,
 }
 
 impl CommitHooks for PrimaryHooks {
     fn on_install(&self, ts: Ts, ops: &[TableOp]) {
-        self.replica.backlog.fetch_add(1, Ordering::Relaxed);
-        // Inside the commit critical section: monotonic.
-        self.last_logged.store(ts, Ordering::Release);
-        self.wal.append(ts, ops.to_vec());
+        self.follower.log(ts, ops);
     }
 
     // The shipped WAL is a totally ordered stream the standby replays
@@ -178,20 +204,20 @@ impl CommitHooks for PrimaryHooks {
             // waits share one deadline.
             ReplicationMode::SyncOn => {
                 let deadline = Instant::now() + self.commit_timeout;
-                while self.replica.down.load(Ordering::Acquire) {
+                while self.follower.is_down() {
                     if Instant::now() >= deadline {
                         return Err(HatError::ReplicationTimeout);
                     }
                     std::thread::sleep(Duration::from_micros(200));
                 }
                 let remaining = deadline.saturating_duration_since(Instant::now());
-                self.link.try_delay(2, remaining)
+                self.follower.target.link.try_delay(2, remaining)
             }
             // Wait until the standby has replayed our record. A crashed
             // standby or a partitioned link both stall the applied
             // watermark, so one bounded wait covers every fault.
             ReplicationMode::RemoteApply => {
-                if self.replica.applied.wait_for_timeout(ts, self.commit_timeout) {
+                if self.follower.applied.wait_for_timeout(ts, self.commit_timeout) {
                     Ok(())
                 } else {
                     Err(HatError::ReplicationTimeout)
@@ -201,75 +227,46 @@ impl CommitHooks for PrimaryHooks {
     }
 }
 
-/// Stop flag + handle of one incarnation of the replay thread.
-struct ReplayCtl {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
 /// A two-node primary/standby engine.
-pub struct IsoEngine {
-    kernel: Arc<RowKernel>,
-    replica: Arc<Replica>,
-    wal: Arc<Wal>,
-    link: Arc<NetworkLink>,
-    last_logged: Arc<AtomicU64>,
+pub type IsoEngine = Engine<Isolated>;
+
+/// The isolated design: analytics read a standby kept current by WAL
+/// replay.
+pub struct Isolated {
     config: IsoConfig,
-    replay: RwLock<Option<ReplayCtl>>,
-    stop_vacuum: Arc<AtomicBool>,
-    vacuum: RwLock<Option<JoinHandle<()>>>,
+    follower: Arc<Follower<Standby>>,
 }
 
 impl IsoEngine {
     /// Builds the engine; the replay thread starts at
-    /// [`HtapEngine::finish_load`].
+    /// [`HtapEngine::finish_load`](crate::api::HtapEngine::finish_load).
     pub fn new(config: IsoConfig) -> Self {
-        let wal = Arc::new(Wal::with_retention(config.wal_retention));
-        let link = Arc::new(NetworkLink::new(
-            config.link_one_way,
-            config.link_one_way / 4,
-        ));
-        let replica = Arc::new(Replica {
+        let standby = Standby {
             db: RowDb::new(),
-            applied: Watermark::new(LOAD_TS),
             snapshots: Arc::new(SnapshotRegistry::new()),
-            backlog: AtomicU64::new(0),
-            applied_lsn: AtomicU64::new(0),
-            down: AtomicBool::new(false),
-            fast_drain: AtomicBool::new(false),
-        });
-        let last_logged = Arc::new(AtomicU64::new(LOAD_TS));
+            link: Arc::new(NetworkLink::new(config.link_one_way, config.link_one_way / 4)),
+            one_way: config.link_one_way,
+            replay_cost: config.replay_cost,
+        };
+        let follower = Arc::new(Follower::new("iso-replay", config.wal_retention, standby));
         let hooks = Arc::new(PrimaryHooks {
-            wal: Arc::clone(&wal),
-            link: Arc::clone(&link),
+            follower: Arc::clone(&follower),
             mode: config.mode,
-            replica: Arc::clone(&replica),
-            last_logged: Arc::clone(&last_logged),
             commit_timeout: config.commit_timeout,
         });
-        let kernel = Arc::new(RowKernel::with_hooks(config.engine.clone(), hooks));
-        IsoEngine {
-            kernel,
-            replica,
-            wal,
-            link,
-            last_logged,
-            config,
-            replay: RwLock::new(None),
-            stop_vacuum: Arc::new(AtomicBool::new(false)),
-            vacuum: RwLock::new(None),
-        }
+        let kernel = RowKernel::with_hooks(config.engine.clone(), hooks);
+        Engine::assemble(kernel, Isolated { config, follower })
     }
 
     /// The primary↔standby link — the chaos surface: partition, brown
     /// out, or schedule a [`crate::netsim::FaultPlan`] against it.
     pub fn link(&self) -> &Arc<NetworkLink> {
-        &self.link
+        &self.design.follower.target.link
     }
 
     /// Whether the standby is currently crashed.
     pub fn is_replica_down(&self) -> bool {
-        self.replica.down.load(Ordering::Acquire)
+        self.design.follower.is_down()
     }
 
     /// Kills the standby's replay thread, simulating a replica crash.
@@ -277,12 +274,7 @@ impl IsoEngine {
     /// wipeout), so [`IsoEngine::restart_replica`] can catch up from the
     /// WAL. Idempotent; synchronous commits start timing out immediately.
     pub fn crash_replica(&self) {
-        let ctl = self.replay.write().take();
-        if let Some(ctl) = ctl {
-            self.replica.down.store(true, Ordering::Release);
-            ctl.stop.store(true, Ordering::Release);
-            let _ = ctl.handle.join();
-        }
+        self.design.follower.crash();
     }
 
     /// Restarts a crashed standby: rejoins the WAL at the last applied
@@ -293,22 +285,17 @@ impl IsoEngine {
     /// behind than [`IsoConfig::wal_retention`]; a real system would take
     /// a fresh basebackup here.
     pub fn restart_replica(&self) -> Result<()> {
-        if !self.is_replica_down() {
-            return Ok(());
-        }
-        self.spawn_replay()?;
-        self.replica.down.store(false, Ordering::Release);
-        Ok(())
+        self.design.follower.restart(&self.background)
     }
 
     /// The configured replication mode.
     pub fn mode(&self) -> ReplicationMode {
-        self.config.mode
+        self.design.config.mode
     }
 
     /// The replica's applied horizon (tests, diagnostics).
     pub fn applied_ts(&self) -> Ts {
-        self.replica.applied.get()
+        self.design.follower.applied.get()
     }
 
     /// Blocks until the replica has applied everything committed so far,
@@ -317,229 +304,80 @@ impl IsoEngine {
     /// up; callers recovering from a crash go through
     /// [`IsoEngine::restart_replica`] first.
     pub fn quiesce_replication(&self) {
-        debug_assert!(!self.is_replica_down(), "quiesce requires a live standby");
-        self.replica.fast_drain.store(true, Ordering::Release);
-        // Wait for the last *logged* commit, not the read horizon:
-        // timestamps burned without a WAL record (e.g. serializable
-        // validation failures) never reach the replica.
-        self.replica.applied.wait_for(self.last_logged.load(Ordering::Acquire));
-        self.replica.fast_drain.store(false, Ordering::Release);
-    }
-
-    fn spawn_replay(&self) -> Result<()> {
-        // Rejoin exactly after the last applied record: the retention ring
-        // replays everything committed while the standby was down,
-        // atomically with registration, so no record is lost or doubled.
-        let from = self.replica.applied_lsn.load(Ordering::Acquire) + 1;
-        let rx = self.wal.subscribe_from(from)?;
-        // Records appended before this restart are catch-up work: applied
-        // at memory speed, like recovery replay. Later records pay the
-        // normal simulated transit + apply cost.
-        let catchup_end = self.wal.appended();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let replica = Arc::clone(&self.replica);
-        let link = Arc::clone(&self.link);
-        let one_way = self.config.link_one_way;
-        let replay_cost = self.config.replay_cost;
-        const POLL: Duration = Duration::from_millis(5);
-        let handle = std::thread::Builder::new()
-            .name("iso-replay".into())
-            .spawn(move || {
-                let clock = BenchClock::global();
-                'replay: loop {
-                    if stop2.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let record = match rx.recv_timeout(POLL) {
-                        Ok(record) => record,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    };
-                    let throttled = record.lsn > catchup_end
-                        && !replica.fast_drain.load(Ordering::Acquire);
-                    if throttled {
-                        // Records cannot cross a partitioned link; park
-                        // until it heals, still honoring crash/quiesce.
-                        while !link.wait_healthy_until(Instant::now() + POLL) {
-                            if stop2.load(Ordering::Acquire) {
-                                // Unapplied: applied_lsn still points
-                                // before this record, so a restart's
-                                // subscribe_from replays it.
-                                break 'replay;
-                            }
-                            if replica.fast_drain.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        // Model transit: the record becomes available
-                        // one-way latency after it was sent. Only sleep the
-                        // remainder — shipping overlaps with queueing.
-                        let available_at = record.sent_at + one_way.as_nanos() as u64;
-                        let now = clock.now();
-                        if now < available_at {
-                            std::thread::sleep(Duration::from_nanos(available_at - now));
-                        }
-                        // Per-record standby apply cost.
-                        if !replay_cost.is_zero() {
-                            std::thread::sleep(replay_cost);
-                        }
-                    }
-                    for op in &record.ops {
-                        match op {
-                            TableOp::Insert { table, rid, row } => {
-                                // Gapped: the log is timestamp-ordered, but
-                                // at shards > 1 rid allocation interleaves
-                                // across shards, so a later-ts record can
-                                // carry an earlier rid.
-                                replica
-                                    .db
-                                    .store(*table)
-                                    .install_insert_gapped(
-                                        *rid,
-                                        Arc::clone(row),
-                                        record.commit_ts,
-                                    )
-                                    .expect("replica applies each rid once");
-                            }
-                            TableOp::Update { table, rid, row } => {
-                                replica
-                                    .db
-                                    .store(*table)
-                                    .install_update(*rid, Arc::clone(row), record.commit_ts)
-                                    .expect("replica row exists");
-                            }
-                        }
-                    }
-                    replica.applied_lsn.store(record.lsn, Ordering::Release);
-                    // Decrement before advancing: quiesce/reset observe a
-                    // zero backlog only after the watermark they waited on.
-                    replica.backlog.fetch_sub(1, Ordering::Relaxed);
-                    replica.applied.advance(record.commit_ts);
-                }
-            })
-            .expect("spawn replay thread");
-        *self.replay.write() = Some(ReplayCtl { stop, handle });
-        Ok(())
+        self.design.follower.quiesce();
     }
 }
 
-impl HtapEngine for IsoEngine {
-    fn name(&self) -> String {
-        format!(
-            "isolated[{},{}]",
-            self.config.mode.label(),
-            self.kernel.config.isolation.label()
-        )
+impl Design for Isolated {
+    const CATEGORY: DesignCategory = DesignCategory::Isolated;
+
+    fn name(&self, kernel: &RowKernel) -> String {
+        format!("isolated[{},{}]", self.config.mode.label(), kernel.config.isolation.label())
     }
 
-    fn design(&self) -> DesignCategory {
-        DesignCategory::Isolated
-    }
-
-    fn set_txn_cores(&self, t_cores: u32, total: u32) {
-        self.kernel.set_txn_core_fraction(t_cores, total);
-    }
-
-    fn load(&self, table: TableId, rows: &mut dyn Iterator<Item = Row>) -> Result<()> {
-        // Base backup: load primary and standby directly (PostgreSQL
-        // standbys start from a basebackup, not from WAL replay of the
-        // initial population).
-        let store = self.replica.db.store(table);
-        let mut tee = rows.inspect(|row| {
-            store.install_insert(Arc::clone(row), LOAD_TS);
-        });
-        self.kernel.load(table, &mut tee)
-    }
-
-    fn finish_load(&self) -> Result<()> {
-        self.kernel.finish_load();
-        // One vacuum thread covers both nodes: the primary pass prunes at
-        // the kernel's safe horizon, and the extra hook prunes the standby
-        // at its own applied watermark (a standby never needs versions
-        // older than what the oldest replica query can see).
-        let replica = Arc::clone(&self.replica);
-        let pruned = Arc::clone(&self.kernel.stats.versions_pruned);
-        *self.vacuum.write() = spawn_vacuum(&self.kernel, &self.stop_vacuum, move || {
-            let horizon = replica.snapshots.prune_horizon(replica.applied.get());
-            let stats = replica.db.vacuum(horizon, |_| {});
-            pruned.add(stats.freed);
-        });
-        self.spawn_replay()
-    }
-
-    fn begin(&self) -> Box<dyn Session + '_> {
-        Box::new(self.kernel.begin_session())
-    }
-
-    fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput> {
-        // A-class overload gate: a no-op unless admission is enabled, a
-        // bounded sojourn-deadline-shed queue when it is. Shed queries
-        // never execute and are not counted as executed.
-        let _admit = self.kernel.admission.admit_query()?;
-        self.kernel.stats.queries.inc();
+    fn snapshot<'a>(&'a self, _kernel: &'a RowKernel) -> Result<Snapshot<'a>> {
         // Queries read the standby at its applied horizon — whatever has
         // been replayed so far. Staleness is visible through the
         // freshness side-read of the replicated FRESHNESS rows.
-        let span = SpanTimer::start();
-        let _guard = self
-            .replica
-            .snapshots
-            .register_with(|| self.replica.applied.get());
-        let ts = _guard.ts();
-        span.finish(&self.kernel.stats.snapshot_span);
-        let view = MixedView::rows(&self.replica.db, ts);
-        let out = execute_with(spec, &view, opts);
-        self.kernel.stats.record_exec(&out.stats);
-        Ok(out)
+        let standby = &self.follower.target;
+        let guard = standby.snapshots.register_with(|| self.follower.applied.get());
+        let view = Box::new(MixedView::rows(&standby.db, guard.ts()));
+        Ok(Snapshot { guard, view })
     }
 
-    fn reset(&self) -> Result<()> {
-        // Recover a crashed standby, drain replication so it is
-        // consistent, then reset both nodes to their loaded state.
-        self.restart_replica()?;
-        self.quiesce_replication();
-        self.kernel.reset()?;
+    fn load_row(&self, table: TableId, row: &Row) {
+        // Base backup: load primary and standby directly (PostgreSQL
+        // standbys start from a basebackup, not from WAL replay of the
+        // initial population).
+        self.follower.target.db.store(table).install_insert(Arc::clone(row), LOAD_TS);
+    }
+
+    fn start(self: &Arc<Self>, _kernel: &Arc<RowKernel>, background: &Background) -> Result<()> {
+        self.follower.start(background)
+    }
+
+    fn vacuum(&self, kernel: &RowKernel) {
+        // One vacuum loop covers both nodes: the standby prunes at its own
+        // applied watermark (a standby never needs versions older than
+        // what the oldest replica query can see).
+        let standby = &self.follower.target;
+        let horizon = standby.snapshots.prune_horizon(self.follower.applied.get());
+        let stats = standby.db.vacuum(horizon, |_| {});
+        kernel.stats.versions_pruned.add(stats.freed);
+    }
+
+    fn before_reset(&self, background: &Background) -> Result<()> {
+        // Recover a crashed standby and drain replication so it is
+        // consistent before both nodes reset.
+        self.follower.drain(background)
+    }
+
+    fn after_reset(&self, kernel: &RowKernel) {
         for t in TableId::ALL {
-            let store = self.replica.db.store(t);
-            store.truncate_slots(self.kernel.loaded_count(t));
+            let store = self.follower.target.db.store(t);
+            store.truncate_slots(kernel.loaded_count(t));
             if t.is_mutable() {
                 store.revert_versions_after(LOAD_TS);
             }
         }
-        Ok(())
     }
 
-    fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.kernel.metrics();
-        snap.set_gauge(names::REPL_BACKLOG, self.replica.backlog.load(Ordering::Relaxed));
+    fn gauges(&self, kernel: &RowKernel, snap: &mut MetricsSnapshot) {
+        snap.set_gauge(names::REPL_BACKLOG, self.follower.backlog());
         // Bounded memory is a two-node property here: report the version
         // population of primary and standby together.
         snap.set_gauge(
             names::LIVE_VERSIONS,
-            self.kernel.db.live_versions() + self.replica.db.live_versions(),
+            kernel.db.live_versions() + self.follower.target.db.live_versions(),
         );
-        snap
-    }
-}
-
-impl Drop for IsoEngine {
-    fn drop(&mut self) {
-        self.wal.close();
-        self.stop_vacuum.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.vacuum.write().take() {
-            let _ = handle.join();
-        }
-        if let Some(ctl) = self.replay.write().take() {
-            ctl.stop.store(true, Ordering::Release);
-            let _ = ctl.handle.join();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::HtapEngine;
+    use hat_query::exec::QueryOpts;
     use crate::api::{CommitDurability, InDoubtCause};
     use hat_common::ids::customer;
     use hat_common::value::{row_from, row_with};
@@ -610,8 +448,8 @@ mod tests {
         )
         .unwrap();
         let commit_ts = s.commit().unwrap().ts;
-        engine.replica.applied.wait_for(commit_ts);
-        let replicated = engine.replica.db.store(TableId::Customer).read(rid, commit_ts).unwrap();
+        engine.design.follower.applied.wait_for(commit_ts);
+        let replicated = engine.design.follower.target.db.store(TableId::Customer).read(rid, commit_ts).unwrap();
         assert_eq!(replicated[customer::PAYMENTCNT].as_u32().unwrap(), 5);
     }
 
@@ -656,7 +494,7 @@ mod tests {
         let commit_ts = s.commit().unwrap().ts;
         let out = engine.query(&count_customers_spec(), &QueryOpts::default()).unwrap();
         assert_eq!(out.freshness, vec![(0, 0)], "stale before replay");
-        engine.replica.applied.wait_for(commit_ts);
+        engine.design.follower.applied.wait_for(commit_ts);
         let out = engine.query(&count_customers_spec(), &QueryOpts::default()).unwrap();
         assert_eq!(out.freshness, vec![(0, 7)], "fresh after replay");
     }
@@ -668,7 +506,7 @@ mod tests {
         s.insert(TableId::Customer, customer_row(11)).unwrap();
         let commit_ts = s.commit().unwrap().ts;
         let primary_count = engine.kernel.db.store(TableId::Customer).slot_count();
-        let replica_count = engine.replica.db.store(TableId::Customer).slot_count();
+        let replica_count = engine.design.follower.target.db.store(TableId::Customer).slot_count();
         assert_eq!(primary_count, replica_count);
         assert_eq!(primary_count, 11);
         let out = engine.query(&count_customers_spec(), &QueryOpts::default()).unwrap();
@@ -685,7 +523,7 @@ mod tests {
         assert!(s.commit().unwrap().is_acked());
         engine.reset().unwrap();
         assert_eq!(engine.kernel.db.store(TableId::Customer).slot_count(), 10);
-        assert_eq!(engine.replica.db.store(TableId::Customer).slot_count(), 10);
+        assert_eq!(engine.design.follower.target.db.store(TableId::Customer).slot_count(), 10);
         let out = engine.query(&count_customers_spec(), &QueryOpts::default()).unwrap();
         assert_eq!(out.groups[0].agg, 10);
         assert_eq!(out.freshness, vec![(0, 0), (1, 0)]);
@@ -807,7 +645,7 @@ mod tests {
         assert_eq!(out.groups[0].agg, 20, "every record recovered, none doubled");
         // Watermark continuity: the applied horizon reached the last
         // logged commit.
-        assert!(engine.applied_ts() >= engine.last_logged.load(Ordering::Acquire));
+        assert!(engine.applied_ts() >= engine.design.follower.last_logged());
     }
 
     #[test]
@@ -830,24 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_too_stale_for_retained_wal_needs_basebackup() {
-        let mut cfg = fast_config(ReplicationMode::Async);
-        cfg.wal_retention = 4;
-        let engine = IsoEngine::new(cfg);
-        let customers: Vec<Row> = (1..=3).map(customer_row).collect();
-        engine.load(TableId::Customer, &mut customers.into_iter()).unwrap();
-        engine.finish_load().unwrap();
-        engine.crash_replica();
-        for ck in 4..=13 {
-            let mut s = engine.begin();
-            s.insert(TableId::Customer, customer_row(ck)).unwrap();
-            assert!(s.commit().unwrap().is_acked());
-        }
-        let err = engine.restart_replica().unwrap_err();
-        assert!(matches!(err, HatError::WalTruncated { .. }), "{err:?}");
-    }
-
-    #[test]
     fn both_nodes_vacuum_and_the_standby_prunes_at_applied() {
         let mut cfg = fast_config(ReplicationMode::RemoteApply);
         cfg.engine.vacuum_interval = Some(Duration::from_millis(1));
@@ -855,7 +675,7 @@ mod tests {
         let customers: Vec<Row> = (1..=4).map(customer_row).collect();
         engine.load(TableId::Customer, &mut customers.into_iter()).unwrap();
         engine.finish_load().unwrap();
-        let base = engine.replica.db.live_versions();
+        let base = engine.design.follower.target.db.live_versions();
         // Remote-apply: every commit is replayed before the next begins,
         // so both nodes accumulate the same 30-version chain on customer 1.
         for n in 1..=30u32 {
@@ -873,7 +693,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let primary = engine.kernel.db.live_versions();
-            let standby = engine.replica.db.live_versions();
+            let standby = engine.design.follower.target.db.live_versions();
             if primary <= base + 1 && standby <= base + 1 {
                 break;
             }

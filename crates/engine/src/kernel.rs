@@ -872,36 +872,6 @@ impl RowKernel {
     }
 }
 
-/// Spawns an engine's background vacuum thread: one
-/// [`RowKernel::vacuum_pass`] every `config.vacuum_interval`, plus an
-/// engine-specific `extra` step per pass (replica and learner engines
-/// prune their own copies at their applied watermark there). Returns
-/// `None` when the config disabled vacuum ([`EngineConfig::no_vacuum`]).
-/// The caller owns the stop flag and must join the handle on drop.
-pub fn spawn_vacuum(
-    kernel: &Arc<RowKernel>,
-    stop: &Arc<std::sync::atomic::AtomicBool>,
-    extra: impl Fn() + Send + 'static,
-) -> Option<std::thread::JoinHandle<()>> {
-    let every = kernel.config.vacuum_interval?;
-    let kernel = Arc::clone(kernel);
-    let stop = Arc::clone(stop);
-    let handle = std::thread::Builder::new()
-        .name("mvcc-vacuum".into())
-        .spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(every);
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                kernel.vacuum_pass();
-                extra();
-            }
-        })
-        .expect("spawn vacuum");
-    Some(handle)
-}
-
 /// A transaction running against a [`RowKernel`].
 pub struct KernelSession {
     kernel: Arc<RowKernel>,

@@ -1,7 +1,6 @@
 //! `hat-engine` — the HTAP engines under test.
 //!
-//! Each engine implements the [`api::HtapEngine`] trait and represents one
-//! of the paper's design categories (§2.2):
+//! Each engine represents one of the paper's design categories (§2.2):
 //!
 //! * [`shared::ShdEngine`] — *shared design* (PostgreSQL-like): one MVCC row
 //!   store serves both workloads.
@@ -17,6 +16,13 @@
 //! * [`cow::CowEngine`] — *shared design*, HyPer-like: analytics read
 //!   periodic copy-on-write snapshots; staleness is bounded by the
 //!   snapshot interval.
+//!
+//! All five are one type, [`Engine<D>`](Engine), which implements
+//! [`api::HtapEngine`] once over the shared [`kernel::RowKernel`]: load,
+//! sessions, admission, the query pipeline, reset, metrics and the
+//! background threads. A design supplies only what defines its category —
+//! what an analytical snapshot is and where its freshness lag comes from.
+//! The isolated standby and the columnar learner share one log follower.
 //!
 //! ```
 //! use hat_engine::{EngineConfig, HtapEngine, NamedIndex, ShdEngine};
@@ -45,7 +51,9 @@ pub mod analytics;
 pub mod api;
 pub mod budget;
 pub mod cow;
+mod design;
 pub mod durability;
+mod follower;
 pub mod hybrid;
 pub mod isolated;
 pub mod kernel;
@@ -56,7 +64,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmitPermit};
 pub use api::{
     CommitDurability, CommitReceipt, DesignCategory, DurabilityMode, EngineConfig,
     EngineConfigBuilder, HtapEngine, InDoubtCause, IndexProfile, NamedIndex,
-    Session, TxnHandle,
+    Session,
 };
 pub use budget::CoreBudget;
 pub use hat_query::exec::{ExecStats, QueryOpts, ScanMode, WorkerCap};
@@ -65,6 +73,7 @@ pub use hat_storage::dwal::{
     DiskFault, DiskFaultKind, DiskFaultPlan, HealthState, KillPoint, WalConfig,
 };
 pub use cow::{CowConfig, CowEngine};
+pub use design::Engine;
 pub use hybrid::{DualConfig, DualEngine, LearnerConfig, LearnerEngine, LearnerProfile};
 pub use isolated::{IsoConfig, IsoEngine, ReplicationMode};
 pub use netsim::{

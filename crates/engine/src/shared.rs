@@ -7,32 +7,24 @@
 //! before it started. The cost is interference: both workloads fight for
 //! CPU, slot locks, the commit critical section, and index latches.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use hat_common::telemetry::{MetricsSnapshot, SpanTimer};
-use hat_common::{HatError, Result, Row, TableId};
-use hat_query::exec::{execute_with, QueryOpts, QueryOutput};
+use hat_common::Result;
 use hat_query::spec::QuerySpec;
-use hat_query::view::MixedView;
-use parking_lot::RwLock;
+use hat_query::view::{MixedView, SnapshotView};
+use hat_txn::Ts;
 
 use crate::analytics::{date_range_hint, PrefilteredView};
-use crate::api::{DesignCategory, EngineConfig, HtapEngine, Session};
-use crate::kernel::{spawn_vacuum, RowKernel};
+use crate::api::{DesignCategory, EngineConfig};
+use crate::design::{Background, Design, Engine, Snapshot};
+use crate::kernel::RowKernel;
 
 /// A single-node, single-copy MVCC engine.
-pub struct ShdEngine {
-    kernel: Arc<RowKernel>,
-    /// Stops the background threads (checkpointer, vacuum) on drop.
-    stop_background: Arc<AtomicBool>,
-    /// Background checkpointer (Fsync durability with `checkpoint_every`).
-    checkpointer: RwLock<Option<JoinHandle<()>>>,
-    /// Background MVCC vacuum ([`EngineConfig::vacuum_interval`]).
-    vacuum: RwLock<Option<JoinHandle<()>>>,
-}
+pub type ShdEngine = Engine<Shared>;
+
+/// The shared design: queries read the kernel's own row store at the
+/// current visibility horizon.
+pub struct Shared;
 
 impl ShdEngine {
     /// Builds an engine with the given configuration. Panics if the
@@ -48,146 +40,57 @@ impl ShdEngine {
     /// directory before returning, so the engine resumes exactly at the
     /// last acknowledged commit.
     pub fn try_new(config: EngineConfig) -> Result<Self> {
-        Ok(ShdEngine {
-            kernel: Arc::new(RowKernel::try_new(config)?),
-            stop_background: Arc::new(AtomicBool::new(false)),
-            checkpointer: RwLock::new(None),
-            vacuum: RwLock::new(None),
-        })
-    }
-
-    /// The engine's kernel (tests and the isolated engine reuse it).
-    pub fn kernel(&self) -> &Arc<RowKernel> {
-        &self.kernel
+        Ok(Engine::assemble(RowKernel::try_new(config)?, Shared))
     }
 
     /// Writes a checkpoint now (no-op unless durability is `Fsync`).
     pub fn checkpoint(&self) -> Result<()> {
         self.kernel.checkpoint()
     }
-
-    /// Whether a periodic checkpointer was requested by the WAL config.
-    fn checkpoint_interval(&self) -> Option<Duration> {
-        self.kernel
-            .durability
-            .wal()
-            .and_then(|w| w.config().checkpoint_every)
-    }
 }
 
-impl Drop for ShdEngine {
-    fn drop(&mut self) {
-        self.stop_background.store(true, Ordering::Release);
-        for slot in [&self.checkpointer, &self.vacuum] {
-            if let Some(handle) = slot.write().take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
+impl Design for Shared {
+    const CATEGORY: DesignCategory = DesignCategory::Shared;
 
-impl HtapEngine for ShdEngine {
-    fn name(&self) -> String {
-        format!(
-            "shared[{},{}]",
-            self.kernel.config.isolation.label(),
-            self.kernel.config.indexes.label()
-        )
+    fn name(&self, kernel: &RowKernel) -> String {
+        format!("shared[{},{}]", kernel.config.isolation.label(), kernel.config.indexes.label())
     }
 
-    fn design(&self) -> DesignCategory {
-        DesignCategory::Shared
-    }
-
-    fn set_txn_cores(&self, t_cores: u32, total: u32) {
-        self.kernel.set_txn_core_fraction(t_cores, total);
-    }
-
-    fn load(&self, table: TableId, rows: &mut dyn Iterator<Item = Row>) -> Result<()> {
-        self.kernel.load(table, rows)
-    }
-
-    fn finish_load(&self) -> Result<()> {
-        self.kernel.finish_load();
-        // With an on-disk WAL, make the bulk-loaded base data durable via
-        // an initial checkpoint (loads are not logged), then start the
-        // periodic checkpointer if the config asked for one.
-        if self.kernel.durability.wal().is_some() {
-            self.kernel.checkpoint()?;
-            if let Some(every) = self.checkpoint_interval() {
-                let kernel = Arc::clone(&self.kernel);
-                let stop = Arc::clone(&self.stop_background);
-                let handle = std::thread::Builder::new()
-                    .name("wal-checkpointer".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Acquire) {
-                            std::thread::sleep(every);
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // A degraded WAL refuses checkpoints until the
-                            // scrubber re-admits it: skip the tick and try
-                            // again. A crashed WAL ends the loop.
-                            match kernel.checkpoint() {
-                                Ok(()) | Err(HatError::Degraded) => {}
-                                Err(_) => break,
-                            }
-                        }
-                    })
-                    .expect("spawn checkpointer");
-                *self.checkpointer.write() = Some(handle);
-            }
-        }
-        *self.vacuum.write() = spawn_vacuum(&self.kernel, &self.stop_background, || {});
-        Ok(())
-    }
-
-    fn begin(&self) -> Box<dyn Session + '_> {
-        Box::new(self.kernel.begin_session())
-    }
-
-    fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput> {
-        // A-class overload gate: a no-op unless admission is enabled, a
-        // bounded sojourn-deadline-shed queue when it is. Shed queries
-        // never execute and are not counted as executed.
-        let _admit = self.kernel.admission.admit_query()?;
-        self.kernel.stats.queries.inc();
-        let span = SpanTimer::start();
+    fn snapshot<'a>(&'a self, kernel: &'a RowKernel) -> Result<Snapshot<'a>> {
         // The guard pins the query's snapshot against vacuum for the whole
         // scan; registration picks the timestamp (it may retry past a
         // concurrent pass, always landing on a fresh frontier).
-        let _guard = self
-            .kernel
-            .snapshots
-            .register_with(|| self.kernel.oracle.read_ts());
-        let ts = _guard.ts();
-        span.finish(&self.kernel.stats.snapshot_span);
+        let guard = kernel.snapshots.register_with(|| kernel.oracle.read_ts());
+        let view = Box::new(MixedView::rows(&kernel.db, guard.ts()));
+        Ok(Snapshot { guard, view })
+    }
+
+    fn index_view<'a>(
+        &'a self,
+        kernel: &'a RowKernel,
+        spec: &QuerySpec,
+        ts: Ts,
+    ) -> Option<Box<dyn SnapshotView + 'a>> {
         // Index-accelerated plan when the physical schema allows it.
-        let out = if let Some(rids) = date_range_hint(spec)
-            .and_then(|(lo, hi)| self.kernel.indexes.lineorder_rids_for_date_range(lo, hi))
-        {
-            let view = PrefilteredView::new(&self.kernel.db, ts, spec.fact, &rids);
-            execute_with(spec, &view, opts)
-        } else {
-            let view = MixedView::rows(&self.kernel.db, ts);
-            execute_with(spec, &view, opts)
-        };
-        self.kernel.stats.record_exec(&out.stats);
-        Ok(out)
+        let (lo, hi) = date_range_hint(spec)?;
+        let rids = kernel.indexes.lineorder_rids_for_date_range(lo, hi)?;
+        Some(Box::new(PrefilteredView::new(&kernel.db, ts, spec.fact, &rids)))
     }
 
-    fn reset(&self) -> Result<()> {
-        self.kernel.reset()
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.kernel.metrics()
+    fn start(self: &Arc<Self>, kernel: &Arc<RowKernel>, _background: &Background) -> Result<()> {
+        // With an on-disk WAL, make the bulk-loaded base data durable via
+        // an initial checkpoint (loads are not logged).
+        kernel.checkpoint()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use crate::api::HtapEngine;
+    use hat_common::{Row, TableId};
+    use hat_query::exec::QueryOpts;
     use hat_common::telemetry::names;
     use crate::api::{IndexProfile, NamedIndex};
     use hat_common::ids::customer;

@@ -122,9 +122,6 @@ pub struct WalConfig {
     /// syscall — useful for CI where the backing store is a ramdisk
     /// anyway.
     pub sync: bool,
-    /// If set, the owning engine runs a background checkpoint at this
-    /// interval (after load completes).
-    pub checkpoint_every: Option<Duration>,
     /// Injected-fault schedule for chaos runs; empty means no injection.
     pub fault_plan: DiskFaultPlan,
     /// Shed commits with [`HatError::Degraded`] once this many frames are
@@ -148,7 +145,6 @@ impl WalConfig {
             dir: dir.into(),
             segment_bytes: 4 << 20,
             sync: true,
-            checkpoint_every: None,
             fault_plan: DiskFaultPlan::default(),
             max_backlog: 4096,
             scrub_interval: Duration::from_millis(5),

@@ -15,8 +15,8 @@ use hattrick_repro::common::telemetry::names;
 use hattrick_repro::common::value::row_with;
 use hattrick_repro::common::{HatError, Value};
 use hattrick_repro::engine::{
-    DurabilityMode, EngineConfig, HtapEngine, IndexProfile, LearnerConfig, LearnerEngine,
-    LearnerProfile, NamedIndex, QueryOpts, ShdEngine,
+    DurabilityMode, EngineConfig, HtapEngine, IndexProfile, IsoConfig, IsoEngine, LearnerConfig,
+    LearnerEngine, LearnerProfile, NamedIndex, QueryOpts, ReplicationMode, ShdEngine,
 };
 use hattrick_repro::query::spec::QueryId;
 use hattrick_repro::query::ssb;
@@ -64,6 +64,119 @@ fn every_engine_reports_commits_and_queries_by_name() {
             assert!(has_gauge(names::DELTA_ROWS), "{name}: delta rows gauge");
         }
     }
+}
+
+#[test]
+fn every_engine_drops_promptly_despite_a_long_vacuum_interval() {
+    // Background loops sleep on a stop signal, not a plain sleep: dropping
+    // an engine must not wait out a 30 s vacuum interval.
+    let data = common::small_data();
+    for (name, engine) in common::all_engines_with_vacuum(Some(Duration::from_secs(30))) {
+        data.load_into(engine.as_ref()).unwrap();
+        let mut s = engine.begin();
+        let (rid, row) = s.lookup_u32(NamedIndex::CustomerPk, 1).unwrap().unwrap();
+        s.update(TableId::Customer, rid, row).unwrap();
+        assert!(s.commit().unwrap().is_acked(), "{name}");
+        engine.query(&ssb::query(QueryId::Q1_1), &QueryOpts::default()).unwrap();
+        let start = std::time::Instant::now();
+        drop(engine);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(2), "{name}: drop took {took:?}");
+    }
+}
+
+/// The crash / restart / quiesce surface both log-following engines
+/// expose under their own names.
+trait Replicated: HtapEngine {
+    fn crash(&self);
+    fn restart(&self) -> Result<(), HatError>;
+    fn quiesce(&self);
+    fn applied(&self) -> u64;
+}
+
+impl Replicated for IsoEngine {
+    fn crash(&self) {
+        self.crash_replica();
+    }
+    fn restart(&self) -> Result<(), HatError> {
+        self.restart_replica()
+    }
+    fn quiesce(&self) {
+        self.quiesce_replication();
+    }
+    fn applied(&self) -> u64 {
+        self.applied_ts()
+    }
+}
+
+impl Replicated for LearnerEngine {
+    fn crash(&self) {
+        self.crash_learner();
+    }
+    fn restart(&self) -> Result<(), HatError> {
+        self.restart_learner()
+    }
+    fn quiesce(&self) {
+        self.quiesce_learner();
+    }
+    fn applied(&self) -> u64 {
+        self.applied_ts()
+    }
+}
+
+/// Commits `n` single-row updates; returns the last commit timestamp.
+fn commit_updates(engine: &dyn HtapEngine, n: usize) -> u64 {
+    let mut last = 0;
+    for _ in 0..n {
+        let mut s = engine.begin();
+        let (rid, row) = s.lookup_u32(NamedIndex::CustomerPk, 1).unwrap().unwrap();
+        s.update(TableId::Customer, rid, row).unwrap();
+        last = s.commit().unwrap().ts;
+    }
+    last
+}
+
+fn check_log_follower<E: Replicated>(name: &str, make: impl Fn(usize) -> E) {
+    let data = common::small_data();
+    // Crashed past the retention ring: a restart needs a full resync.
+    let engine = make(4);
+    data.load_into(&engine).unwrap();
+    engine.crash();
+    commit_updates(&engine, 10);
+    let err = engine.restart().unwrap_err();
+    assert!(matches!(err, HatError::WalTruncated { .. }), "{name}: {err:?}");
+
+    // Crashed within retention: the restart catches up on the log.
+    let engine = make(16);
+    data.load_into(&engine).unwrap();
+    engine.crash();
+    let last = commit_updates(&engine, 10);
+    assert_eq!(engine.metrics().gauge(names::REPL_BACKLOG), 10, "{name}");
+    engine.restart().unwrap();
+    engine.quiesce();
+    assert_eq!(engine.applied(), last, "{name}: applied through the last commit");
+    assert_eq!(engine.metrics().gauge(names::REPL_BACKLOG), 0, "{name}");
+}
+
+#[test]
+fn log_follower_restarts_from_retention_or_reports_truncation() {
+    check_log_follower("isolated", |retention| {
+        IsoEngine::new(IsoConfig {
+            engine: common::fast_engine_config(),
+            mode: ReplicationMode::Async,
+            link_one_way: Duration::from_micros(20),
+            replay_cost: Duration::from_micros(5),
+            wal_retention: retention,
+            ..IsoConfig::default()
+        })
+    });
+    check_log_follower("learner", |retention| {
+        LearnerEngine::new(LearnerConfig {
+            apply_cost: Duration::from_micros(5),
+            wal_retention: retention,
+            ..LearnerConfig::default()
+        })
+    });
 }
 
 #[test]
