@@ -305,7 +305,6 @@ fn make_harness(
                 args.u32(&["a-threads"], QueryOpts::default_parallelism() as u32)
                     as usize,
             ),
-            shards,
             ..Default::default()
         },
     )

@@ -1,27 +1,31 @@
-//! The measurement harness: client drivers and per-operating-point runs.
+//! The measurement harness: one driver for every run.
 //!
-//! A *point* is one `(τ, α)` client configuration (§3.1). The harness
-//! spawns τ transactional clients and α analytical clients, runs a warm-up
-//! phase followed by a measurement phase (§6.1), and reports hybrid
+//! A *point* is one `(τ, α)` client configuration (§3.1): τ closed-loop
+//! transactional clients and α analytical clients run a warm-up phase
+//! followed by a measurement phase (§6.1), and the harness reports hybrid
 //! throughput `(tps, qps)` plus the freshness samples collected during
 //! measurement. Each client issues one request at a time and waits for the
-//! result before the next (§5.3); T and A clients are independent threads,
-//! so the engine is free to schedule them as it pleases.
+//! result before the next (§5.3). An *open-loop* run swaps the load source:
+//! a seeded arrival schedule fills a bounded queue that a fixed worker pool
+//! drains, so offered load is an input rather than a consequence of the
+//! client count.
 //!
-//! Telemetry: the coordinator samples [`HtapEngine::metrics`] on a fixed
-//! cadence through both phases, producing a per-run time series
-//! ([`TimeSeriesSample`]) alongside the end-of-run snapshots. A
-//! [`PointMeasurement`] carries two [`MetricsSnapshot`]s — the
-//! measurement-window diff plus the cumulative post-run state — and every
-//! counter the old struct exposed as a field is now a derived accessor
-//! over those snapshots.
+//! Both are one driver, and [`Harness::run_point`] and
+//! [`Harness::run_open_loop_sched`] are thin entry points to it. It has one
+//! transactional worker loop with one outcome classification, one
+//! analytical client, and one tick loop. At every tick boundary the tick
+//! loop samples [`HtapEngine::metrics`] into a [`TimeSeriesSample`], moves
+//! the core split when the [`SchedPolicy`] holds a budget, and enqueues the
+//! tick's arrivals. Every outcome lands in a per-tick cell; warm-up ticks
+//! are discarded, and [`PointMeasurement`] and [`OpenLoopMeasurement`] are
+//! both derived from the measured ones.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use hat_common::clock::BenchClock;
+use hat_common::clock::{BenchClock, Nanos};
 use hat_common::rng::HatRng;
 use hat_common::telemetry::{names, Histogram, HistogramSnapshot, MetricsSnapshot};
 use hat_engine::{CoreBudget, HtapEngine, QueryOpts};
@@ -32,13 +36,10 @@ use parking_lot::{Condvar, Mutex};
 use crate::freshness::{score_query, CommitRegistry, FreshnessSample};
 use crate::gen::{DataProfile, MAX_TXN_CLIENTS};
 use crate::openloop::{arrival_schedule, OpenLoopConfig, OpenLoopTick};
-use crate::sched::{split_changes, ElasticController, SchedDecision, SchedPolicy, SchedSignal};
+use crate::sched::{
+    split_changes, ElasticController, SchedDecision, SchedPolicy, SchedReason, SchedSignal,
+};
 use crate::workload::{query_batch, run_transaction, TxnKind, TxnMix, WorkloadState};
-
-/// Phases of a benchmark run.
-const PHASE_WARMUP: u8 = 0;
-const PHASE_MEASURE: u8 = 1;
-const PHASE_DONE: u8 = 2;
 
 /// How a client reacts to retryable failures: capped exponential backoff
 /// with full jitter, and a bound on attempts per logical operation.
@@ -208,21 +209,11 @@ pub struct BenchmarkConfig {
     /// [`HtapEngine::query`] — notably the intra-query morsel
     /// parallelism (`hatcli --a-threads`).
     pub query_opts: QueryOpts,
-    /// Cadence of the coordinator's engine-metrics samples (the time
-    /// series in every [`PointMeasurement`]). Clamped so the measurement
-    /// phase always yields at least five samples.
+    /// Tick length of a point run: the cadence of the engine-metrics
+    /// samples (the time series in every [`PointMeasurement`]) and of the
+    /// outcome cells. Clamped to `measure / 8` (and at least 100 µs), so
+    /// the measurement phase always yields at least eight samples.
     pub sample_every: Duration,
-    /// Commit-shard count of the engine under test (`hatcli --shards`).
-    /// Shard layout is fixed at engine construction, so this is the
-    /// harness's record of the knob — it annotates run artifacts and the
-    /// shard-sweep report rather than re-sharding the engine.
-    pub shards: u32,
-    /// Core-assignment policy (`hatcli --sched`). `Static` reproduces
-    /// the paper's fixed-split measurement; `Elastic` engages the
-    /// tick-granular controller of [`crate::sched`], which resizes the
-    /// analytical worker cap and the engine's transactional admission
-    /// bounds (and, in open-loop runs, parks/unparks T workers).
-    pub sched: SchedPolicy,
 }
 
 impl Default for BenchmarkConfig {
@@ -235,8 +226,6 @@ impl Default for BenchmarkConfig {
             retry: RetryPolicy::default(),
             query_opts: QueryOpts::default(),
             sample_every: Duration::from_millis(5),
-            shards: 1,
-            sched: SchedPolicy::Static,
         }
     }
 }
@@ -336,11 +325,11 @@ pub struct TimeSeriesSample {
     /// Which repetition of the point the sample came from (0-based; set
     /// by [`PointMeasurement::average`]).
     pub run: u32,
-    /// Engine-side commit rate over the sampling interval. Includes
-    /// warmup and in-doubt commits, unlike the harness-side `tps` which
-    /// counts only acknowledged measurement-phase commits.
+    /// Acknowledged in-deadline commits per second in the tick (a
+    /// closed-loop run has no deadline, so every acknowledged commit).
+    /// In-doubt commits are excluded.
     pub tps: f64,
-    /// Engine-side query completion rate over the sampling interval.
+    /// Analytical queries finished per second in the tick.
     pub qps: f64,
     /// Replication backlog gauge at sample time (records shipped but not
     /// yet applied).
@@ -352,34 +341,37 @@ pub struct TimeSeriesSample {
     /// mix; without it the series grows without bound.
     pub live_versions: u64,
     /// Mean freshness score (seconds) of the queries that finished in
-    /// this interval; `0.0` when none finished.
+    /// this tick; `0.0` when none finished.
     pub freshness_lag: f64,
     /// Storage-health gauge at sample time: 0 Healthy, 1 Degraded,
     /// 2 Recovering. A chaos run shows this step up and back down as the
     /// scrubber re-admits the device.
     pub health: u64,
-    /// Commits shed for *storage* reasons during the sampling interval:
-    /// a degraded/quarantined WAL, a full group-commit backlog, or the
-    /// admission circuit breaker tripping on off-Healthy health.
+    /// Transactional requests shed for *storage* reasons during the tick
+    /// (`HatError::Degraded`): a degraded/quarantined WAL, a full
+    /// group-commit backlog, or the admission circuit breaker tripping on
+    /// off-Healthy health.
     pub shed: u64,
-    /// Requests shed for *overload* reasons during the interval: queue
-    /// sojourn over the deadline budget, bounded-queue overflow, or the
-    /// engine's admission gate. Disjoint from `shed` by construction, so
-    /// "disk unhappy" and "traffic too high" chart separately.
+    /// Transactional requests shed for *overload* reasons during the
+    /// tick: bounded-queue overflow, queue sojourn over the deadline
+    /// budget, or the engine's admission gate. Disjoint from `shed` by
+    /// construction, so "disk unhappy" and "traffic too high" chart
+    /// separately.
     pub shed_overload: u64,
-    /// Offered load during the interval: requests that reached an
-    /// admission gate (closed-loop runs) or that the arrival schedule
-    /// generated (open-loop runs). In a closed-loop run this tracks the
-    /// completion rate; in an open-loop run it is the independent
-    /// variable and may exceed it arbitrarily.
+    /// Transactional requests offered during the tick: the arrivals the
+    /// schedule generated (open-loop runs), or the new requests the
+    /// clients issued (closed-loop runs, where it tracks the completion
+    /// rate). Retries are not counted. In an open-loop run it is the
+    /// independent variable and may exceed the completion rate
+    /// arbitrarily.
     pub offered: u64,
-    /// Transactional cores held at the sample under the elastic
-    /// scheduler (the artifact's per-tick allocation trace, schema v6).
-    /// Zero in static runs — the split is whatever the client counts
-    /// say, and no controller is in the loop.
+    /// Transactional cores of the split in force during the tick when
+    /// the run's [`SchedPolicy`] holds a core budget, elastic or pinned
+    /// (the artifact's per-tick allocation trace, schema v6). Zero
+    /// otherwise: the split is whatever the client counts say.
     pub t_cores: u32,
-    /// Analytical cores held at the sample under the elastic scheduler;
-    /// zero in static runs.
+    /// Analytical cores of the split in force during the tick; zero when
+    /// the policy holds no budget.
     pub a_cores: u32,
 }
 
@@ -554,8 +546,10 @@ pub struct OpenLoopMeasurement {
     pub ticks: Vec<OpenLoopTick>,
     /// Enqueue-to-completion nanoseconds of executed requests.
     pub sojourn: HistogramSnapshot,
-    /// The elastic controller's per-tick allocation trace (one decision
-    /// per tick, `decisions[k].tick == k`). Empty for static runs.
+    /// The per-tick allocation trace of a policy that holds a core
+    /// budget: the elastic controller's decisions, or a pinned run's
+    /// constant split (one decision per tick, `decisions[k].tick == k`).
+    /// Empty for static runs.
     pub decisions: Vec<SchedDecision>,
 }
 
@@ -620,8 +614,8 @@ impl OpenLoopMeasurement {
         self.goodput() as f64 / offered as f64
     }
 
-    /// Analytical queries the elastic A-side driver completed (0 in
-    /// static runs, which have no A side).
+    /// Analytical queries completed by a run whose policy holds a core
+    /// budget (0 in static runs, which have no A side).
     pub fn a_queries(&self) -> u64 {
         self.point.metrics.counter(names::SCHED_A_QUERIES)
     }
@@ -630,37 +624,6 @@ impl OpenLoopMeasurement {
     pub fn reassignments(&self) -> u64 {
         self.point.metrics.counter(names::SCHED_REASSIGNMENTS)
     }
-}
-
-/// One queued open-loop request. `enq` is re-stamped on retry — the
-/// virtual client that retries is issuing a *new* request with a fresh
-/// deadline budget; `attempt` is what persists across the logical
-/// operation.
-#[derive(Clone, Copy)]
-struct OpenRequest {
-    enq: Instant,
-    attempt: u32,
-    kind: TxnKind,
-}
-
-/// Per-tick atomic outcome counters (workers race on them freely; the
-/// relaxed ordering is fine because the scope join is the only reader
-/// barrier that matters).
-#[derive(Default)]
-struct TickCells {
-    offered: AtomicU64,
-    enqueued: AtomicU64,
-    shed_queue: AtomicU64,
-    shed_stale: AtomicU64,
-    shed_engine: AtomicU64,
-    shed_degraded: AtomicU64,
-    completed: AtomicU64,
-    goodput: AtomicU64,
-    deadline_missed: AtomicU64,
-    retries: AtomicU64,
-    retry_denied: AtomicU64,
-    gave_up: AtomicU64,
-    aborts: AtomicU64,
 }
 
 /// Drives one engine + generated dataset through benchmark points.
@@ -739,7 +702,8 @@ impl Harness {
         Ok(PointMeasurement::average(runs))
     }
 
-    /// Measures one `(τ, α)` point.
+    /// Measures one `(τ, α)` point: τ closed-loop transactional clients
+    /// and α analytical clients through warm-up and measurement.
     ///
     /// Returns [`HatError::InvalidConfig`](hat_common::HatError) when
     /// `t_clients` exceeds [`MAX_TXN_CLIENTS`] (the FRESHNESS table is
@@ -758,406 +722,8 @@ impl Harness {
         if t_clients == 0 && a_clients == 0 {
             return Ok(PointMeasurement::zero(0, 0));
         }
-        if self.config.reset_between_points {
-            self.reset()?;
-        }
-        let point_idx = self.points_run.fetch_add(1, Ordering::Relaxed);
-
-        let clock = BenchClock::global();
-        let phase = AtomicU8::new(PHASE_WARMUP);
-        let stop = AtomicBool::new(false);
-        let committed = AtomicU64::new(0);
-        let queries = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let retries = AtomicU64::new(0);
-        let timeouts = AtomicU64::new(0);
-        let gave_up = AtomicU64::new(0);
-        let query_retries = AtomicU64::new(0);
-        let freshness: Mutex<Vec<FreshnessSample>> = Mutex::new(Vec::new());
-        let txn_latency = LatencyHists::new(
-            [TxnKind::NewOrder, TxnKind::Payment, TxnKind::CountOrders].map(TxnKind::label),
-        );
-        let query_latency = LatencyHists::new(QueryId::ALL.map(|q| q.label()));
-        let bases: Vec<u64> = self
-            .txnnums
-            .iter()
-            .map(|n| n.load(Ordering::Relaxed) + 1)
-            .collect();
-        let registry = CommitRegistry::new(&bases);
-        // One budget shared by every client: the aggregate retry stream
-        // is what must stay bounded, not any single client's.
-        let budget = self.config.retry.budget.map(RetryBudget::new);
-
-        // Elastic closed-loop plumbing: the coordinator's sampling tick
-        // doubles as the controller's tick. The analytical lever is the
-        // shared worker cap inside the clients' QueryOpts; the
-        // transactional lever is the engine's admission bound (closed
-        // loop has no arrival queue to park workers against).
-        let (core_budget, mut controller) = match self.config.sched.target() {
-            Some(t) => {
-                let target = t.normalized();
-                let b = CoreBudget::new(target.budget);
-                let ctl = ElasticController::new(target, self.config.seed);
-                b.apply(&*self.engine, ctl.split().0);
-                (Some(b), Some(ctl))
-            }
-            None => (None, None),
-        };
-        let query_opts_val = match &core_budget {
-            Some(b) => {
-                // The cap must be able to bind: lift parallelism to the
-                // budget so a_cores is the effective probe width.
-                let mut opts =
-                    self.config.query_opts.clone().with_cap(b.worker_cap().clone());
-                opts.parallelism = opts.parallelism.max(b.total() as usize);
-                opts
-            }
-            None => self.config.query_opts.clone(),
-        };
-
-        let (timeseries, backlog_hwm, measure_begin, sched_steps, sched_changes) =
-            std::thread::scope(|scope| {
-            // Transactional clients.
-            for client in 0..t_clients {
-                let engine = &*self.engine;
-                let profile = &self.profile;
-                let state = &self.state;
-                let mix = self.mix;
-                let seed = self.config.seed;
-                let phase = &phase;
-                let stop = &stop;
-                let committed = &committed;
-                let aborts = &aborts;
-                let retries = &retries;
-                let timeouts = &timeouts;
-                let gave_up = &gave_up;
-                let retry = &self.config.retry;
-                let budget = budget.as_ref();
-                let registry = &registry;
-                let txn_latency = &txn_latency;
-                let txnnum_slot = &self.txnnums[client as usize];
-                scope.spawn(move || {
-                    let mut rng =
-                        HatRng::derive(seed, (point_idx << 16) | client as u64 | 0x7000);
-                    // The current logical transaction: retries keep the
-                    // same kind (parameters are re-drawn, as the paper's
-                    // driver does) and the same freshness sequence number.
-                    let mut kind = mix.draw(&mut rng);
-                    let mut attempt: u32 = 1;
-                    while !stop.load(Ordering::Relaxed) {
-                        let txnnum = txnnum_slot.load(Ordering::Relaxed) + 1;
-                        let begin = clock.now();
-                        let measuring =
-                            || phase.load(Ordering::Relaxed) == PHASE_MEASURE;
-                        match run_transaction(
-                            engine, profile, state, &mut rng, kind, client, txnnum,
-                        ) {
-                            Ok(receipt) if receipt.is_acked() => {
-                                // Client-side commit time (§4.2: "the time
-                                // when the transaction result is returned
-                                // to a client").
-                                let done = clock.now();
-                                registry.record(client, txnnum, done);
-                                txnnum_slot.store(txnnum, Ordering::Relaxed);
-                                if measuring() {
-                                    committed.fetch_add(1, Ordering::Relaxed);
-                                    txn_latency.record(kind.label(), done - begin);
-                                }
-                                if let Some(b) = budget {
-                                    b.on_success();
-                                }
-                                kind = mix.draw(&mut rng);
-                                attempt = 1;
-                            }
-                            Ok(_in_doubt) => {
-                                // The commit installed durably on the
-                                // primary; only the durability/replication
-                                // ack is in doubt. Record it for freshness
-                                // density (the sequence number is
-                                // consumed) but keep it out of
-                                // `committed`/tps, and never re-execute
-                                // it.
-                                let done = clock.now();
-                                registry.record(client, txnnum, done);
-                                txnnum_slot.store(txnnum, Ordering::Relaxed);
-                                if measuring() {
-                                    timeouts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                kind = mix.draw(&mut rng);
-                                attempt = 1;
-                            }
-                            Err(e) if e.is_retryable() => {
-                                if measuring() {
-                                    aborts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                // A retry happens only while both the
-                                // per-client attempt cap and the shared
-                                // budget allow it (the cap is checked
-                                // first so an already-doomed attempt
-                                // never spends a token).
-                                let out_of_budget = attempt >= retry.max_attempts
-                                    || budget.is_some_and(|b| !b.try_spend());
-                                if out_of_budget {
-                                    if measuring() {
-                                        gave_up.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    kind = mix.draw(&mut rng);
-                                    attempt = 1;
-                                } else {
-                                    if measuring() {
-                                        retries.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    let pause = retry.backoff(attempt, &mut rng);
-                                    attempt += 1;
-                                    std::thread::sleep(pause);
-                                }
-                            }
-                            Err(e) => panic!("transactional client {client}: {e}"),
-                        }
-                    }
-                });
-            }
-
-            // Analytical clients.
-            for client in 0..a_clients {
-                let engine = &*self.engine;
-                let seed = self.config.seed;
-                let phase = &phase;
-                let stop = &stop;
-                let queries = &queries;
-                let query_retries = &query_retries;
-                let retry = &self.config.retry;
-                let query_opts = &query_opts_val;
-                let freshness = &freshness;
-                let registry = &registry;
-                let query_latency = &query_latency;
-                scope.spawn(move || {
-                    let mut rng =
-                        HatRng::derive(seed, (point_idx << 16) | client as u64 | 0xA000);
-                    'outer: loop {
-                        // §5.3: batches of all 13 queries, randomly
-                        // permuted, back to back.
-                        for qid in query_batch(&mut rng) {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'outer;
-                            }
-                            let spec = ssb::query(qid);
-                            let mut attempt: u32 = 1;
-                            loop {
-                                let start = clock.now();
-                                match engine.query(&spec, query_opts) {
-                                    Ok(out) => {
-                                        let done = clock.now();
-                                        let score =
-                                            score_query(start, &out.freshness, registry);
-                                        if phase.load(Ordering::Relaxed) == PHASE_MEASURE
-                                        {
-                                            queries.fetch_add(1, Ordering::Relaxed);
-                                            freshness.lock().push(score);
-                                            query_latency
-                                                .record(qid.label(), done - start);
-                                        }
-                                        break;
-                                    }
-                                    // The replica/learner serving this
-                                    // query is down or its read-index wait
-                                    // timed out: back off and retry, then
-                                    // move on to the next query in the
-                                    // batch once the budget is spent.
-                                    Err(e) if e.is_retryable() => {
-                                        if phase.load(Ordering::Relaxed) == PHASE_MEASURE
-                                        {
-                                            query_retries.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        if attempt >= retry.max_attempts
-                                            || stop.load(Ordering::Relaxed)
-                                        {
-                                            break;
-                                        }
-                                        let pause = retry.backoff(attempt, &mut rng);
-                                        attempt += 1;
-                                        std::thread::sleep(pause);
-                                    }
-                                    Err(e) => panic!("analytical client {client}: {e}"),
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-
-            // Coordinator: tick through warmup and measurement on a
-            // fixed cadence, sampling engine metrics into the time
-            // series, then stop. The tick is clamped so the measurement
-            // phase yields at least five samples even when `measure` is
-            // shorter than the configured cadence.
-            let tick = self
-                .config
-                .sample_every
-                .min(self.config.measure / 8)
-                .max(Duration::from_micros(100));
-            let t0 = Instant::now();
-            let mut series: Vec<TimeSeriesSample> = Vec::new();
-            let mut prev = self.engine.metrics();
-            let mut prev_t = t0;
-            let mut fresh_seen = 0usize;
-            let mut hwm = prev.gauge(names::REPL_BACKLOG);
-            let mut sched_steps = 0u64;
-            let mut sched_changes = 0u64;
-            let measure_begin;
-            // Block scope: the sampler closure borrows `series`/`hwm`
-            // mutably; its borrows must end before they are moved out.
-            {
-                let mut sample = |p: SamplePhase| {
-                    let now = Instant::now();
-                    let snap = self.engine.metrics();
-                    let dt = (now - prev_t).as_secs_f64().max(1e-9);
-                    let d_commits = snap
-                        .counter(names::TXN_COMMITS)
-                        .saturating_sub(prev.counter(names::TXN_COMMITS));
-                    let d_queries = snap
-                        .counter(names::QUERIES)
-                        .saturating_sub(prev.counter(names::QUERIES));
-                    let backlog = snap.gauge(names::REPL_BACKLOG);
-                    hwm = hwm.max(backlog);
-                    let freshness_lag = {
-                        let all = freshness.lock();
-                        let new = &all[fresh_seen.min(all.len())..];
-                        let lag = if new.is_empty() {
-                            0.0
-                        } else {
-                            new.iter().sum::<f64>() / new.len() as f64
-                        };
-                        fresh_seen = all.len();
-                        lag
-                    };
-                    let shed_storage = (snap.counter(names::WAL_SHED_COMMITS)
-                        + snap.counter(names::ADMIT_TXN_SHED_BREAKER))
-                    .saturating_sub(
-                        prev.counter(names::WAL_SHED_COMMITS)
-                            + prev.counter(names::ADMIT_TXN_SHED_BREAKER),
-                    );
-                    let shed_overload = (snap.counter(names::ADMIT_TXN_SHED)
-                        + snap.counter(names::ADMIT_QUERY_SHED))
-                    .saturating_sub(
-                        prev.counter(names::ADMIT_TXN_SHED)
-                            + prev.counter(names::ADMIT_QUERY_SHED),
-                    );
-                    let offered = (snap.counter(names::ADMIT_TXN_OFFERED)
-                        + snap.counter(names::ADMIT_QUERY_OFFERED))
-                    .saturating_sub(
-                        prev.counter(names::ADMIT_TXN_OFFERED)
-                            + prev.counter(names::ADMIT_QUERY_OFFERED),
-                    );
-                    // The split in force during the sampled interval
-                    // (recorded before the controller reacts to it).
-                    let (t_cores, a_cores) =
-                        core_budget.as_ref().map(|b| b.split()).unwrap_or((0, 0));
-                    series.push(TimeSeriesSample {
-                        t_secs: (now - t0).as_secs_f64(),
-                        phase: p,
-                        run: 0,
-                        tps: d_commits as f64 / dt,
-                        qps: d_queries as f64 / dt,
-                        backlog,
-                        delta_rows: snap.gauge(names::DELTA_ROWS),
-                        live_versions: snap.gauge(names::LIVE_VERSIONS),
-                        freshness_lag,
-                        health: snap.gauge(names::HEALTH_STATE),
-                        shed: shed_storage,
-                        shed_overload,
-                        offered,
-                        t_cores,
-                        a_cores,
-                    });
-                    // Elastic: this sample is the controller's tick.
-                    // Closed-loop pressure is what the admission gates
-                    // saw — overload sheds — since there is no arrival
-                    // queue to measure a backlog against.
-                    if let (Some(b), Some(ctl)) = (core_budget.as_ref(), controller.as_mut())
-                    {
-                        let decision = ctl.step(&SchedSignal {
-                            offered,
-                            goodput: d_commits,
-                            shed: shed_overload,
-                            backlog,
-                            a_done: d_queries,
-                        });
-                        sched_steps += 1;
-                        if (decision.t_cores, decision.a_cores) != (t_cores, a_cores) {
-                            sched_changes += 1;
-                            b.apply(&*self.engine, decision.t_cores);
-                        }
-                    }
-                    prev = snap;
-                    prev_t = now;
-                };
-                let warmup_deadline = t0 + self.config.warmup;
-                loop {
-                    let now = Instant::now();
-                    if now >= warmup_deadline {
-                        break;
-                    }
-                    std::thread::sleep((warmup_deadline - now).min(tick));
-                    sample(SamplePhase::Warmup);
-                }
-                phase.store(PHASE_MEASURE, Ordering::Relaxed);
-                measure_begin = self.engine.metrics();
-                let deadline = Instant::now() + self.config.measure;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    std::thread::sleep((deadline - now).min(tick));
-                    sample(SamplePhase::Measure);
-                }
-            }
-            phase.store(PHASE_DONE, Ordering::Relaxed);
-            stop.store(true, Ordering::Relaxed);
-            // Scope joins all clients here.
-            (series, hwm, measure_begin, sched_steps, sched_changes)
-        });
-
-        let elapsed = self.config.measure.as_secs_f64();
-        let committed = committed.load(Ordering::Relaxed);
-        let queries = queries.load(Ordering::Relaxed);
-        // The window diff captures what the engine did during measurement;
-        // the cumulative snapshot keeps the since-start counters (WAL
-        // recovery, fsyncs, scan totals).
-        let metrics_end = self.engine.metrics();
-        let mut metrics = metrics_end.diff(&measure_begin);
-        metrics.set_counter(names::HARNESS_COMMITTED, committed);
-        metrics.set_counter(names::HARNESS_QUERIES, queries);
-        metrics.set_counter(names::HARNESS_ABORTS, aborts.load(Ordering::Relaxed));
-        metrics.set_counter(names::HARNESS_RETRIES, retries.load(Ordering::Relaxed));
-        metrics.set_counter(names::HARNESS_TIMEOUTS, timeouts.load(Ordering::Relaxed));
-        metrics.set_counter(names::HARNESS_GAVE_UP, gave_up.load(Ordering::Relaxed));
-        metrics.set_counter(
-            names::HARNESS_QUERY_RETRIES,
-            query_retries.load(Ordering::Relaxed),
-        );
-        metrics.set_gauge(names::HARNESS_BACKLOG_HWM, backlog_hwm);
-        if let Some(b) = &core_budget {
-            let (t_cores, a_cores) = b.split();
-            metrics.set_counter(names::SCHED_DECISIONS, sched_steps);
-            metrics.set_counter(names::SCHED_REASSIGNMENTS, sched_changes);
-            metrics.set_gauge(names::SCHED_T_CORES, u64::from(t_cores));
-            metrics.set_gauge(names::SCHED_A_CORES, u64::from(a_cores));
-        }
-        txn_latency.install(&mut metrics, names::LATENCY_TXN_PREFIX);
-        query_latency.install(&mut metrics, names::LATENCY_QUERY_PREFIX);
-        Ok(PointMeasurement {
-            t_clients,
-            a_clients,
-            tps: committed as f64 / elapsed,
-            qps: queries as f64 / elapsed,
-            metrics,
-            metrics_end,
-            timeseries,
-            freshness: freshness.into_inner(),
-            measured_secs: elapsed,
-        })
+        let run = self.drive(Source::Closed, t_clients, a_clients, &SchedPolicy::Static)?;
+        Ok(run.point)
     }
 
     /// Runs one open-loop overload experiment.
@@ -1192,495 +758,725 @@ impl Harness {
     /// core-assignment policy.
     ///
     /// Under [`SchedPolicy::Static`] this is exactly the classic driver:
-    /// `ol.workers` transactional workers, no analytical side. Under
-    /// [`SchedPolicy::Elastic`] the run holds a fixed budget of
-    /// `target.budget` cores split between the two populations at tick
-    /// granularity:
+    /// `ol.workers` transactional workers, no analytical side. A policy
+    /// that holds a budget of cores splits it between the two
+    /// populations at tick granularity:
     ///
     /// * `budget - 1` transactional workers are spawned but only the
     ///   first `t_cores` of them serve; the rest park (`ol.workers` is
     ///   ignored — the budget is the capacity knob).
-    /// * one analytical driver loops SSB query batches with its probe
-    ///   parallelism capped by the budget's live
-    ///   [`WorkerCap`](hat_engine::WorkerCap) gauge at `a_cores`.
-    /// * at every tick boundary the generator feeds the previous tick's
-    ///   outcome (sheds, queue depth, goodput, queries) to the
-    ///   [`ElasticController`] and applies its decision: the worker cap
-    ///   and the engine's transactional admission bounds move via
-    ///   [`CoreBudget::apply`], and T workers park or unpark.
+    /// * one analytical client loops SSB query batches, scored for
+    ///   freshness, with its probe parallelism capped by the budget's
+    ///   live [`WorkerCap`](hat_engine::WorkerCap) gauge at `a_cores`.
+    /// * under [`SchedPolicy::Elastic`], at every tick boundary the
+    ///   closed tick's outcome (sheds, queue depth, goodput, queries)
+    ///   feeds the [`ElasticController`], whose decision moves the worker
+    ///   cap and the engine's transactional admission bounds via
+    ///   [`CoreBudget::apply`] and parks or unparks T workers.
     ///
-    /// [`SchedPolicy::Pinned`] runs the same dual-population driver at a
-    /// fixed split — the eligible static arm for elastic-vs-static
-    /// comparisons.
+    /// [`SchedPolicy::Pinned`] holds its split for the whole run — the
+    /// eligible static arm for elastic-vs-static comparisons.
     ///
-    /// The per-tick decisions come back in
-    /// [`OpenLoopMeasurement::decisions`] and as the
-    /// `t_cores`/`a_cores` columns of the time series (artifact schema
-    /// v6), so the elastic trajectory can be overlaid on the static
-    /// frontier.
+    /// The per-tick split comes back in [`OpenLoopMeasurement::decisions`]
+    /// and as the `t_cores`/`a_cores` columns of the time series (artifact
+    /// schema v6).
     pub fn run_open_loop_sched(
         &self,
         ol: &OpenLoopConfig,
         policy: &SchedPolicy,
     ) -> hat_common::Result<OpenLoopMeasurement> {
         ol.validate()?;
-        let elastic_target = policy.target().map(|t| t.normalized());
-        let pinned = policy.pinned_split();
-        if let Some(budget) =
-            elastic_target.map(|t| t.budget).or(pinned.map(|(t, a)| t + a))
-        {
-            if budget as usize > MAX_TXN_CLIENTS as usize {
-                return Err(hat_common::HatError::InvalidConfig(format!(
-                    "core budget {budget} exceeds the harness's {MAX_TXN_CLIENTS} \
-                     worker slots"
-                )));
-            }
-        }
+        let source = Source::Schedule {
+            ol,
+            arrivals: arrival_schedule(ol, self.config.seed),
+            queue: Mutex::new(VecDeque::new()),
+            arrived: Condvar::new(),
+        };
+        self.drive(source, ol.workers, 0, policy)
+    }
+
+    /// The one driver behind every entry point: `t_workers` transactional
+    /// workers fed by `source`, `a_clients` analytical clients, and the
+    /// tick loop on this thread. A policy that holds a budget overrides
+    /// both counts (`budget - 1` parkable T workers, one A client).
+    fn drive(
+        &self,
+        source: Source<'_>,
+        mut t_workers: u32,
+        mut a_clients: u32,
+        policy: &SchedPolicy,
+    ) -> hat_common::Result<OpenLoopMeasurement> {
+        let mut cores = Cores::new(policy, self.config.seed)?;
         if self.config.reset_between_points {
             self.reset()?;
         }
-        let point_idx = self.points_run.fetch_add(1, Ordering::Relaxed);
-        let schedule = arrival_schedule(ol, self.config.seed);
-        let nticks = ol.ticks as usize;
-        let tick_nanos = ol.tick.as_nanos().max(1);
-        let cap = ol.queue_cap as usize;
-        let deadline = ol.deadline;
-
-        // Elastic/pinned runtime: the controller (generator-thread-local,
-        // elastic only), the budget (shared levers), and the park gauge
-        // T workers poll.
-        let mut controller =
-            elastic_target.map(|t| ElasticController::new(t, self.config.seed));
-        let initial_split = controller.as_ref().map(|ctl| ctl.split()).or(pinned);
-        let core_budget = initial_split.map(|(t, a)| {
-            let b = CoreBudget::new(t + a);
-            b.apply(&*self.engine, t);
-            b
-        });
-        let t_workers = match &core_budget {
-            // T may hold at most budget-1 cores (A always keeps one).
-            Some(b) => b.total() - 1,
-            None => ol.workers,
-        };
-        let t_alloc = AtomicU32::new(match initial_split {
-            Some((t, _)) => t,
-            None => u32::MAX,
-        });
-        // Per-tick analytical completions (the open-loop qps series).
-        let a_cells: Vec<AtomicU64> = (0..nticks).map(|_| AtomicU64::new(0)).collect();
-
-        let cells: Vec<TickCells> = (0..nticks).map(|_| TickCells::default()).collect();
-        let queue: Mutex<VecDeque<OpenRequest>> = Mutex::new(VecDeque::new());
-        let arrived = Condvar::new();
-        let stop = AtomicBool::new(false);
-        let sojourn_hist = Histogram::new();
-        let started = AtomicU64::new(0);
-        let budget = self.config.retry.budget.map(RetryBudget::new);
-        let retry = &self.config.retry;
-
-        let measure_begin = self.engine.metrics();
-        let t0 = Instant::now();
-        // Attributes an event to the tick it happened in; events during
-        // the post-schedule drain clamp to the final tick.
-        let tick_of = move |now: Instant| -> usize {
-            (((now - t0).as_nanos() / tick_nanos) as usize).min(nticks - 1)
-        };
-        // The virtual client's reaction to a failed or timed-out attempt.
-        // Retries re-enter the arrival queue with a fresh enqueue stamp
-        // (a retry is a new request with a new deadline); the attempt
-        // count is what carries across, and the shared budget is spent
-        // *before* the re-enqueue so a collapsed run converges to
-        // give-ups instead of feeding itself.
-        let maybe_retry = |req: OpenRequest| {
-            let cell = &cells[tick_of(Instant::now())];
-            if stop.load(Ordering::Relaxed) || req.attempt >= retry.max_attempts {
-                cell.gave_up.fetch_add(1, Ordering::Relaxed);
-                return;
+        let (mut t_alloc, mut query_opts) = (u32::MAX, self.config.query_opts.clone());
+        if let Some(c) = &cores {
+            // T may hold at most budget-1 cores (A always keeps one). The
+            // A cap must be able to bind: parallelism is lifted to the
+            // budget so a_cores is the effective probe width.
+            (t_workers, a_clients) = (c.budget.total() - 1, 1);
+            t_alloc = c.budget.apply(&*self.engine, c.decisions[0].t_cores).0;
+            query_opts = query_opts.with_cap(c.budget.worker_cap().clone());
+            query_opts.parallelism = query_opts.parallelism.max(c.budget.total() as usize);
+        }
+        // A closed run's events past its last boundary land in one extra,
+        // discarded cell; a schedule run's drain lands in its last tick.
+        let (tick, warm, ticks, ncells) = match &source {
+            Source::Closed => {
+                let c = &self.config;
+                let tick = c.sample_every.min(c.measure / 8).max(Duration::from_micros(100));
+                let n = |d: Duration| d.as_nanos().div_ceil(tick.as_nanos()) as usize;
+                let ticks = n(c.warmup) + n(c.measure).max(1);
+                (tick, n(c.warmup), ticks, ticks + 1)
             }
-            if let Some(b) = budget.as_ref() {
-                if !b.try_spend() {
-                    cell.retry_denied.fetch_add(1, Ordering::Relaxed);
-                    cell.gave_up.fetch_add(1, Ordering::Relaxed);
+            Source::Schedule { ol, .. } => (ol.tick, 0, ol.ticks as usize, ol.ticks as usize),
+        };
+        let bases: Vec<u64> = self.txnnums.iter().map(|n| n.load(Ordering::Relaxed) + 1).collect();
+        let run = Run {
+            h: self,
+            point_idx: self.points_run.fetch_add(1, Ordering::Relaxed),
+            source,
+            t0: BenchClock::global().now(),
+            tick_ns: (tick.as_nanos() as Nanos).max(1),
+            warm,
+            ticks,
+            cells: (0..ncells).map(|_| TickCells::default()).collect(),
+            stop: AtomicBool::new(false),
+            t_alloc: AtomicU32::new(t_alloc),
+            // One budget shared by every client: the aggregate retry
+            // stream is what must stay bounded, not any single client's.
+            retry_budget: self.config.retry.budget.map(RetryBudget::new),
+            scores_freshness: a_clients > 0,
+            registry: CommitRegistry::new(&bases),
+            txn_latency: LatencyHists::new(
+                [TxnKind::NewOrder, TxnKind::Payment, TxnKind::CountOrders].map(TxnKind::label),
+            ),
+            query_latency: LatencyHists::new(QueryId::ALL.map(|q| q.label())),
+            sojourn: Histogram::new(),
+        };
+
+        let (series, measure_begin, freshness) = std::thread::scope(|scope| {
+            let run = &run;
+            for worker in 0..t_workers {
+                scope.spawn(move || run.t_worker(worker));
+            }
+            let a_side: Vec<_> = (0..a_clients)
+                .map(|client| {
+                    let opts = &query_opts;
+                    scope.spawn(move || run.a_client(client, opts))
+                })
+                .collect();
+            let (series, measure_begin) = run.tick_loop(cores.as_mut());
+            let freshness: Vec<FreshnessSample> = a_side
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect();
+            // The scope joins the T workers here (a schedule source's
+            // workers drain the queue first).
+            (series, measure_begin, freshness)
+        });
+        Ok(run.measurement(series, measure_begin, freshness, cores, t_workers, a_clients))
+    }
+}
+
+/// One transactional request. `enq` is when it was issued (closed
+/// source) or enqueued (schedule source), and is re-stamped on retry —
+/// the virtual client that retries is issuing a *new* request with a
+/// fresh deadline budget; `attempt` is what persists across the logical
+/// operation.
+#[derive(Clone, Copy)]
+struct Request {
+    enq: Nanos,
+    attempt: u32,
+    kind: TxnKind,
+}
+
+/// Where a run's transactional requests come from.
+enum Source<'a> {
+    /// Closed loop (§5.3): each worker issues its next request as soon as
+    /// the previous one is done, and retries after a backoff.
+    Closed,
+    /// Open loop: the tick loop enqueues each tick's arrivals onto a
+    /// bounded queue, workers drain it, and retries re-enter it.
+    Schedule {
+        ol: &'a OpenLoopConfig,
+        arrivals: Vec<u64>,
+        queue: Mutex<VecDeque<Request>>,
+        arrived: Condvar,
+    },
+}
+
+/// Per-tick atomic outcome counters (workers race on them freely; the
+/// relaxed ordering is fine because the scope join is the only reader
+/// barrier that matters).
+#[derive(Default)]
+struct TickCells {
+    offered: AtomicU64,
+    enqueued: AtomicU64,
+    shed_queue: AtomicU64,
+    shed_stale: AtomicU64,
+    shed_engine: AtomicU64,
+    shed_degraded: AtomicU64,
+    started: AtomicU64,
+    completed: AtomicU64,
+    goodput: AtomicU64,
+    deadline_missed: AtomicU64,
+    in_doubt: AtomicU64,
+    retries: AtomicU64,
+    retry_denied: AtomicU64,
+    gave_up: AtomicU64,
+    aborts: AtomicU64,
+    queries: AtomicU64,
+    query_retries: AtomicU64,
+    /// Sum of the freshness scores of `queries`, nanoseconds.
+    fresh_ns: AtomicU64,
+}
+
+impl TickCells {
+    /// The cell's public outcome counters, numbered `tick`.
+    fn outcome(&self, tick: u32) -> OpenLoopTick {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        OpenLoopTick {
+            tick,
+            offered: load(&self.offered),
+            enqueued: load(&self.enqueued),
+            shed_queue: load(&self.shed_queue),
+            shed_stale: load(&self.shed_stale),
+            shed_engine: load(&self.shed_engine),
+            shed_degraded: load(&self.shed_degraded),
+            completed: load(&self.completed),
+            goodput: load(&self.goodput),
+            deadline_missed: load(&self.deadline_missed),
+            retries: load(&self.retries),
+            retry_denied: load(&self.retry_denied),
+            gave_up: load(&self.gave_up),
+            aborts: load(&self.aborts),
+        }
+    }
+}
+
+fn bump(cell: &AtomicU64) {
+    cell.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A policy's core budget and the per-tick split trace. The controller
+/// is elastic-only; a pinned run has none and holds its split.
+struct Cores {
+    budget: CoreBudget,
+    controller: Option<ElasticController>,
+    /// One per tick; `decisions[0]` is the initial split.
+    decisions: Vec<SchedDecision>,
+}
+
+impl Cores {
+    /// `None` for [`SchedPolicy::Static`]; a typed error when the budget
+    /// exceeds the harness's worker slots.
+    fn new(policy: &SchedPolicy, seed: u64) -> hat_common::Result<Option<Cores>> {
+        let controller = policy.target().map(|t| ElasticController::new(t, seed));
+        let Some((t, a)) = controller.as_ref().map(|c| c.split()).or(policy.pinned_split()) else {
+            return Ok(None);
+        };
+        if t + a > MAX_TXN_CLIENTS {
+            return Err(hat_common::HatError::InvalidConfig(format!(
+                "core budget {} exceeds the harness's {MAX_TXN_CLIENTS} worker slots",
+                t + a
+            )));
+        }
+        Ok(Some(Cores {
+            budget: CoreBudget::new(t + a),
+            controller,
+            decisions: vec![SchedDecision {
+                tick: 0,
+                t_cores: t,
+                a_cores: a,
+                reason: SchedReason::Init,
+            }],
+        }))
+    }
+
+    /// Records the split for tick `k` — the controller's decision, or the
+    /// held pinned split when there is no controller — and applies it if
+    /// it moved.
+    fn record(
+        &mut self,
+        k: usize,
+        stepped: Option<SchedDecision>,
+        engine: &dyn HtapEngine,
+        t_alloc: &AtomicU32,
+    ) {
+        let (t_cores, a_cores) = self.budget.split();
+        let decision = stepped.unwrap_or(SchedDecision {
+            tick: k as u32,
+            t_cores,
+            a_cores,
+            reason: SchedReason::Hold,
+        });
+        if (decision.t_cores, decision.a_cores) != (t_cores, a_cores) {
+            self.budget.apply(engine, decision.t_cores);
+            t_alloc.store(decision.t_cores, Ordering::Relaxed);
+        }
+        self.decisions.push(decision);
+    }
+}
+
+/// The state one run's workers, analytical clients and tick loop share.
+struct Run<'h> {
+    h: &'h Harness,
+    point_idx: u64,
+    source: Source<'h>,
+    /// Start of tick 0 on the [`BenchClock`].
+    t0: Nanos,
+    tick_ns: Nanos,
+    /// Leading warm-up ticks, discarded from every total.
+    warm: usize,
+    /// Warm-up plus measured ticks.
+    ticks: usize,
+    cells: Vec<TickCells>,
+    stop: AtomicBool,
+    /// T workers at or past this index park.
+    t_alloc: AtomicU32,
+    retry_budget: Option<RetryBudget>,
+    /// Whether an analytical client scores freshness, so T workers must
+    /// record their commit times in `registry`.
+    scores_freshness: bool,
+    registry: CommitRegistry,
+    txn_latency: LatencyHists,
+    query_latency: LatencyHists,
+    sojourn: Histogram,
+}
+
+impl Run<'_> {
+    /// The tick `now` falls in, and its cell.
+    fn cell_of(&self, now: Nanos) -> (usize, &TickCells) {
+        let k = (now.saturating_sub(self.t0) / self.tick_ns) as usize;
+        let k = k.min(self.cells.len() - 1);
+        (k, &self.cells[k])
+    }
+
+    fn measured(&self, tick: usize) -> bool {
+        (self.warm..self.ticks).contains(&tick)
+    }
+
+    /// The worker's next request, or `None` once the run is over (a
+    /// schedule source first drains its queue, so every enqueued request
+    /// gets an accounted fate).
+    fn next(&self, rng: &mut HatRng, pending: &mut Option<Request>) -> Option<Request> {
+        match &self.source {
+            Source::Closed => {
+                if self.stop.load(Ordering::Relaxed) {
+                    return None;
+                }
+                // The current logical transaction: a retry keeps its kind
+                // (parameters are re-drawn, as the paper's driver does).
+                pending.take().or_else(|| {
+                    let enq = BenchClock::global().now();
+                    bump(&self.cell_of(enq).1.offered);
+                    Some(Request { enq, attempt: 1, kind: self.h.mix.draw(rng) })
+                })
+            }
+            Source::Schedule { queue, arrived, .. } => {
+                let mut q = queue.lock();
+                loop {
+                    if let Some(r) = q.pop_front() {
+                        return Some(r);
+                    }
+                    if self.stop.load(Ordering::Relaxed) {
+                        return None;
+                    }
+                    arrived.wait_for(&mut q, Duration::from_millis(1));
+                }
+            }
+        }
+    }
+
+    /// One transactional worker: take a request, run it, classify the
+    /// outcome into `cell`s, and hand failures to [`Run::retry`].
+    fn t_worker(&self, worker: u32) {
+        let h = self.h;
+        let clock = BenchClock::global();
+        // A closed-loop client waits for its result however long it takes.
+        let (salt, pad, deadline) = match &self.source {
+            Source::Closed => (0x7000, Duration::ZERO, Nanos::MAX),
+            Source::Schedule { ol, .. } => {
+                (0xB000, ol.service_pad, ol.deadline.as_nanos() as Nanos)
+            }
+        };
+        let mut rng = HatRng::derive(h.config.seed, (self.point_idx << 16) | worker as u64 | salt);
+        let txnnum_slot = &h.txnnums[worker as usize];
+        let mut pending = None;
+        loop {
+            // Parking: a worker whose index is past the current T
+            // allocation contributes no serving capacity. It polls the
+            // gauge (well under a tick) rather than blocking so an unpark
+            // takes effect immediately; after stop it falls through to
+            // the drain.
+            while worker >= self.t_alloc.load(Ordering::Relaxed)
+                && !self.stop.load(Ordering::Relaxed)
+            {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let Some(req) = self.next(&mut rng, &mut pending) else { break };
+            // CoDel-flavored staleness check at dequeue: if the queue
+            // alone already ate the deadline, the client is gone — never
+            // spend service time on it.
+            let now = clock.now();
+            let (_, cell) = self.cell_of(now);
+            if now.saturating_sub(req.enq) > deadline {
+                bump(&cell.shed_stale);
+                self.retry(req, cell, &mut rng, &mut pending);
+                continue;
+            }
+            bump(&cell.started);
+            if !pad.is_zero() {
+                std::thread::sleep(pad);
+            }
+            let txnnum = txnnum_slot.load(Ordering::Relaxed) + 1;
+            let outcome = run_transaction(
+                &*h.engine, &h.profile, &h.state, &mut rng, req.kind, worker, txnnum,
+            );
+            // Client-side commit time (§4.2: "the time when the
+            // transaction result is returned to a client").
+            let done = clock.now();
+            let (tick, cell) = self.cell_of(done);
+            match outcome {
+                Ok(receipt) => {
+                    // Installed durably on the primary either way: consume
+                    // the sequence number and record the commit time for
+                    // freshness scoring.
+                    txnnum_slot.store(txnnum, Ordering::Relaxed);
+                    if self.scores_freshness {
+                        self.registry.record(worker, txnnum, done);
+                    }
+                    bump(&cell.completed);
+                    let sojourn = done.saturating_sub(req.enq);
+                    if !receipt.is_acked() {
+                        // Only the durability/replication ack is in doubt:
+                        // never goodput, never re-executed.
+                        bump(&cell.in_doubt);
+                        bump(&cell.deadline_missed);
+                        continue;
+                    }
+                    if self.measured(tick) {
+                        match &self.source {
+                            Source::Closed => self.txn_latency.record(req.kind.label(), sojourn),
+                            Source::Schedule { .. } => self.sojourn.record(sojourn),
+                        }
+                    }
+                    if sojourn <= deadline {
+                        bump(&cell.goodput);
+                        if let Some(b) = &self.retry_budget {
+                            b.on_success();
+                        }
+                    } else {
+                        // The engine committed the work, but the client
+                        // stopped waiting at the deadline and (policy
+                        // permitting) retries — committed-but-retried is
+                        // the classic metastable amplifier.
+                        bump(&cell.deadline_missed);
+                        self.retry(req, cell, &mut rng, &mut pending);
+                    }
+                }
+                Err(hat_common::HatError::Overloaded { .. }) => {
+                    bump(&cell.shed_engine);
+                    self.retry(req, cell, &mut rng, &mut pending);
+                }
+                Err(hat_common::HatError::Degraded) => {
+                    bump(&cell.shed_degraded);
+                    self.retry(req, cell, &mut rng, &mut pending);
+                }
+                Err(e) if e.is_retryable() => {
+                    bump(&cell.aborts);
+                    self.retry(req, cell, &mut rng, &mut pending);
+                }
+                Err(e) => panic!("transactional worker {worker}: {e}"),
+            }
+        }
+    }
+
+    /// The virtual client's reaction to a failed or late attempt. A retry
+    /// happens only while both the per-client attempt cap and the shared
+    /// budget allow it (the cap is checked first so an already-doomed
+    /// attempt never spends a token, and the budget is spent *before* the
+    /// retry so a collapsed run converges to give-ups instead of feeding
+    /// itself). A closed-loop client backs off and reissues; an open-loop
+    /// retry re-enters the arrival queue.
+    fn retry(
+        &self,
+        req: Request,
+        cell: &TickCells,
+        rng: &mut HatRng,
+        pending: &mut Option<Request>,
+    ) {
+        let policy = &self.h.config.retry;
+        if self.stop.load(Ordering::Relaxed) || req.attempt >= policy.max_attempts {
+            bump(&cell.gave_up);
+            return;
+        }
+        if self.retry_budget.as_ref().is_some_and(|b| !b.try_spend()) {
+            bump(&cell.retry_denied);
+            bump(&cell.gave_up);
+            return;
+        }
+        let attempt = req.attempt + 1;
+        match &self.source {
+            Source::Closed => {
+                std::thread::sleep(policy.backoff(req.attempt, rng));
+                let enq = BenchClock::global().now();
+                *pending = Some(Request { enq, attempt, ..req });
+            }
+            Source::Schedule { ol, queue, arrived, .. } => {
+                let mut q = queue.lock();
+                if q.len() >= ol.queue_cap as usize {
+                    drop(q);
+                    bump(&cell.gave_up);
                     return;
                 }
-            }
-            let mut q = queue.lock();
-            if q.len() >= cap {
+                q.push_back(Request { enq: BenchClock::global().now(), attempt, ..req });
                 drop(q);
-                cell.gave_up.fetch_add(1, Ordering::Relaxed);
-                return;
+                arrived.notify_one();
             }
-            q.push_back(OpenRequest {
-                enq: Instant::now(),
-                attempt: req.attempt + 1,
-                kind: req.kind,
-            });
-            drop(q);
-            arrived.notify_one();
-            cell.retries.fetch_add(1, Ordering::Relaxed);
-        };
+        }
+        bump(&cell.retries);
+    }
 
-        let (engine_samples, decisions) = std::thread::scope(|scope| {
-            // Worker pool — the serving capacity. Static: a fixed pool of
-            // `ol.workers`. Elastic: `budget - 1` workers of which only
-            // the first `t_alloc` serve at any tick; the rest park.
-            for client in 0..t_workers {
-                let engine = &*self.engine;
-                let profile = &self.profile;
-                let state = &self.state;
-                let seed = self.config.seed;
-                let queue = &queue;
-                let arrived = &arrived;
-                let stop = &stop;
-                let cells = &cells;
-                let sojourn_hist = &sojourn_hist;
-                let started = &started;
-                let budget = budget.as_ref();
-                let txnnum_slot = &self.txnnums[client as usize];
-                let service_pad = ol.service_pad;
-                let t_alloc = &t_alloc;
-                scope.spawn(move || {
-                    let mut rng =
-                        HatRng::derive(seed, (point_idx << 16) | client as u64 | 0xB000);
-                    loop {
-                        // Elastic parking: a worker whose index is past
-                        // the current T allocation contributes no serving
-                        // capacity. It polls the gauge (well under a tick)
-                        // rather than blocking so an unpark takes effect
-                        // immediately; after stop it falls through to the
-                        // drain so every queued request gets a fate.
-                        while client >= t_alloc.load(Ordering::Relaxed)
-                            && !stop.load(Ordering::Relaxed)
-                        {
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        // Pop or wait; after stop, drain what remains so
-                        // every enqueued request gets an accounted fate.
-                        let req = {
-                            let mut q = queue.lock();
-                            loop {
-                                if let Some(r) = q.pop_front() {
-                                    break Some(r);
-                                }
-                                if stop.load(Ordering::Relaxed) {
-                                    break None;
-                                }
-                                arrived.wait_for(&mut q, Duration::from_millis(1));
-                            }
-                        };
-                        let Some(req) = req else { break };
-                        // CoDel-flavored staleness check at dequeue: if
-                        // the queue alone already ate the deadline, the
-                        // client is gone — never spend service time on it.
-                        if req.enq.elapsed() > deadline {
-                            cells[tick_of(Instant::now())]
-                                .shed_stale
-                                .fetch_add(1, Ordering::Relaxed);
-                            maybe_retry(req);
-                            continue;
-                        }
-                        started.fetch_add(1, Ordering::Relaxed);
-                        if !service_pad.is_zero() {
-                            std::thread::sleep(service_pad);
-                        }
-                        let txnnum = txnnum_slot.load(Ordering::Relaxed) + 1;
-                        let outcome = run_transaction(
-                            engine, profile, state, &mut rng, req.kind, client, txnnum,
-                        );
-                        let now = Instant::now();
-                        let cell = &cells[tick_of(now)];
-                        match outcome {
-                            Ok(receipt) if receipt.is_acked() => {
-                                txnnum_slot.store(txnnum, Ordering::Relaxed);
-                                let sojourn = now - req.enq;
-                                sojourn_hist.record(sojourn.as_nanos() as u64);
-                                cell.completed.fetch_add(1, Ordering::Relaxed);
-                                if sojourn <= deadline {
-                                    cell.goodput.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(b) = budget {
-                                        b.on_success();
-                                    }
-                                } else {
-                                    // The engine committed the work, but
-                                    // the client stopped waiting at the
-                                    // deadline and (policy permitting)
-                                    // retries — committed-but-retried is
-                                    // the classic metastable amplifier.
-                                    cell.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                                    maybe_retry(req);
-                                }
-                            }
-                            Err(hat_common::HatError::Overloaded { .. }) => {
-                                cell.shed_engine.fetch_add(1, Ordering::Relaxed);
-                                maybe_retry(req);
-                            }
-                            Err(hat_common::HatError::Degraded) => {
-                                cell.shed_degraded.fetch_add(1, Ordering::Relaxed);
-                                maybe_retry(req);
-                            }
-                            Ok(_in_doubt) => {
-                                // Durable on the primary: consume the
-                                // sequence number, count the completion
-                                // (but never as goodput), never
-                                // re-execute.
-                                txnnum_slot.store(txnnum, Ordering::Relaxed);
-                                cell.completed.fetch_add(1, Ordering::Relaxed);
-                                cell.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) if e.is_retryable() => {
-                                cell.aborts.fetch_add(1, Ordering::Relaxed);
-                                maybe_retry(req);
-                            }
-                            Err(e) => panic!("open-loop worker {client}: {e}"),
-                        }
-                    }
-                });
-            }
-
-            // Elastic analytical side: one driver looping SSB batches,
-            // its probe-worker pool clamped each query by the budget's
-            // live cap gauge — narrowing a_cores narrows the *next*
-            // query's parallelism without interrupting the current one.
-            if let Some(b) = &core_budget {
-                let engine = &*self.engine;
-                let stop = &stop;
-                let a_cells = &a_cells;
-                let seed = self.config.seed;
-                let mut a_opts =
-                    self.config.query_opts.clone().with_cap(b.worker_cap().clone());
-                a_opts.parallelism = a_opts.parallelism.max(b.total() as usize);
-                scope.spawn(move || {
-                    let mut rng =
-                        HatRng::derive(seed, (point_idx << 16) | 0xAE00);
-                    'outer: while !stop.load(Ordering::Relaxed) {
-                        for qid in query_batch(&mut rng) {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'outer;
-                            }
-                            match engine.query(&ssb::query(qid), &a_opts) {
-                                Ok(_) => {
-                                    a_cells[tick_of(Instant::now())]
-                                        .fetch_add(1, Ordering::Relaxed);
-                                }
-                                // Replica down / read-index timeout: skip
-                                // to the next query; the T side's retry
-                                // machinery is not this driver's job.
-                                Err(e) if e.is_retryable() => {
-                                    std::thread::sleep(Duration::from_micros(500));
-                                }
-                                Err(e) => panic!("elastic analytical driver: {e}"),
-                            }
-                        }
-                    }
-                });
-            }
-
-            // Generator: the only writer to the arrival queue. Paces the
-            // seeded schedule onto real time, sheds at enqueue only when
-            // the bounded queue is full (the memory backstop), samples
-            // engine gauges at each tick boundary — and, under the
-            // elastic policy, runs the controller right there: the
-            // closed tick's outcome is the signal, and the decision is
-            // applied before the new tick's arrivals are enqueued.
-            let mut gen_rng =
-                HatRng::derive(self.config.seed, (point_idx << 16) | 0xC000);
-            let mix = self.mix;
-            let mut samples: Vec<MetricsSnapshot> = Vec::with_capacity(nticks);
-            let mut decisions: Vec<SchedDecision> = Vec::new();
-            if let Some(ctl) = controller.as_ref() {
-                decisions.push(ctl.initial_decision());
-            }
-            for (t, &n) in schedule.iter().enumerate() {
-                let boundary = t0 + ol.tick * t as u32;
-                loop {
-                    let now = Instant::now();
-                    if now >= boundary {
-                        break;
-                    }
-                    std::thread::sleep(boundary - now);
-                }
-                if t > 0 {
-                    // Closes tick t-1.
-                    samples.push(self.engine.metrics());
-                    if let (Some(ctl), Some(b)) =
-                        (controller.as_mut(), core_budget.as_ref())
-                    {
-                        let c = &cells[t - 1];
-                        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-                        let decision = ctl.step(&SchedSignal {
-                            offered: load(&c.offered),
-                            goodput: load(&c.goodput),
-                            shed: load(&c.shed_queue)
-                                + load(&c.shed_stale)
-                                + load(&c.shed_engine),
-                            backlog: queue.lock().len() as u64,
-                            a_done: a_cells[t - 1].load(Ordering::Relaxed),
-                        });
-                        if (decision.t_cores, decision.a_cores) != b.split() {
-                            b.apply(&*self.engine, decision.t_cores);
-                            t_alloc.store(decision.t_cores, Ordering::Relaxed);
-                        }
-                        decisions.push(decision);
-                    }
-                }
-                let cell = &cells[t];
-                cell.offered.fetch_add(n, Ordering::Relaxed);
-                if n > 0 {
-                    let mut q = queue.lock();
-                    for _ in 0..n {
-                        if q.len() >= cap {
-                            cell.shed_queue.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        q.push_back(OpenRequest {
-                            enq: Instant::now(),
-                            attempt: 1,
-                            kind: mix.draw(&mut gen_rng),
-                        });
-                        cell.enqueued.fetch_add(1, Ordering::Relaxed);
-                    }
-                    drop(q);
-                    arrived.notify_all();
-                }
-            }
-            let end = t0 + ol.tick * ol.ticks;
-            loop {
-                let now = Instant::now();
-                if now >= end {
+    /// One analytical client (§5.3): batches of all 13 queries, randomly
+    /// permuted, back to back, each scored for freshness. A retryable
+    /// failure (replica down, read-index timeout) backs off and retries,
+    /// then moves on to the next query once the attempts are spent.
+    /// Returns the measured freshness samples.
+    fn a_client(&self, client: u32, opts: &QueryOpts) -> Vec<FreshnessSample> {
+        let clock = BenchClock::global();
+        let retry = &self.h.config.retry;
+        let stopped = || self.stop.load(Ordering::Relaxed);
+        let mut rng =
+            HatRng::derive(self.h.config.seed, (self.point_idx << 16) | client as u64 | 0xA000);
+        let mut freshness = Vec::new();
+        while !stopped() {
+            for qid in query_batch(&mut rng) {
+                if stopped() {
                     break;
                 }
-                std::thread::sleep(end - now);
+                let spec = ssb::query(qid);
+                let mut attempt: u32 = 1;
+                loop {
+                    let start = clock.now();
+                    match self.h.engine.query(&spec, opts) {
+                        Ok(out) => {
+                            let done = clock.now();
+                            let score = score_query(start, &out.freshness, &self.registry);
+                            let (tick, cell) = self.cell_of(done);
+                            bump(&cell.queries);
+                            cell.fresh_ns.fetch_add((score * 1e9) as u64, Ordering::Relaxed);
+                            if self.measured(tick) {
+                                freshness.push(score);
+                                self.query_latency.record(qid.label(), done - start);
+                            }
+                            break;
+                        }
+                        Err(e) if e.is_retryable() => {
+                            bump(&self.cell_of(clock.now()).1.query_retries);
+                            if attempt >= retry.max_attempts || stopped() {
+                                break;
+                            }
+                            std::thread::sleep(retry.backoff(attempt, &mut rng));
+                            attempt += 1;
+                        }
+                        Err(e) => panic!("analytical client {client}: {e}"),
+                    }
+                }
             }
-            samples.push(self.engine.metrics());
-            stop.store(true, Ordering::Relaxed);
-            arrived.notify_all();
-            // Scope joins the workers here (they drain the queue first).
-            (samples, decisions)
-        });
-
-        // A pinned run has no controller trace; synthesize the constant
-        // one so its artifact carries the same allocation columns.
-        let decisions = match (decisions.is_empty(), pinned) {
-            (true, Some((t, a))) => (0..nticks as u32)
-                .map(|k| SchedDecision {
-                    tick: k,
-                    t_cores: t,
-                    a_cores: a,
-                    reason: if k == 0 {
-                        crate::sched::SchedReason::Init
-                    } else {
-                        crate::sched::SchedReason::Hold
-                    },
-                })
-                .collect(),
-            _ => decisions,
-        };
-
-        let elapsed = (ol.tick * ol.ticks).as_secs_f64();
-        let ticks: Vec<OpenLoopTick> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| OpenLoopTick {
-                tick: i as u32,
-                offered: c.offered.load(Ordering::Relaxed),
-                enqueued: c.enqueued.load(Ordering::Relaxed),
-                shed_queue: c.shed_queue.load(Ordering::Relaxed),
-                shed_stale: c.shed_stale.load(Ordering::Relaxed),
-                shed_engine: c.shed_engine.load(Ordering::Relaxed),
-                shed_degraded: c.shed_degraded.load(Ordering::Relaxed),
-                completed: c.completed.load(Ordering::Relaxed),
-                goodput: c.goodput.load(Ordering::Relaxed),
-                deadline_missed: c.deadline_missed.load(Ordering::Relaxed),
-                retries: c.retries.load(Ordering::Relaxed),
-                retry_denied: c.retry_denied.load(Ordering::Relaxed),
-                gave_up: c.gave_up.load(Ordering::Relaxed),
-                aborts: c.aborts.load(Ordering::Relaxed),
-            })
-            .collect();
-        let sojourn = sojourn_hist.snapshot();
-
-        let sum = |f: fn(&OpenLoopTick) -> u64| ticks.iter().map(f).sum::<u64>();
-        let offered = sum(|t| t.offered);
-        let completed = sum(|t| t.completed);
-        let goodput = sum(|t| t.goodput);
-        let metrics_end = self.engine.metrics();
-        let mut metrics = metrics_end.diff(&measure_begin);
-        metrics.set_counter(names::OPENLOOP_OFFERED, offered);
-        metrics.set_counter(names::OPENLOOP_STARTED, started.load(Ordering::Relaxed));
-        metrics.set_counter(names::OPENLOOP_COMPLETED, completed);
-        metrics.set_counter(names::OPENLOOP_GOODPUT, goodput);
-        metrics.set_counter(names::OPENLOOP_DEADLINE_MISSED, sum(|t| t.deadline_missed));
-        metrics.set_counter(names::OPENLOOP_SHED_QUEUE, sum(|t| t.shed_queue));
-        metrics.set_counter(names::OPENLOOP_SHED_STALE, sum(|t| t.shed_stale));
-        metrics.set_counter(names::OPENLOOP_SHED_ENGINE, sum(|t| t.shed_engine));
-        metrics.set_counter(names::OPENLOOP_SHED_DEGRADED, sum(|t| t.shed_degraded));
-        metrics.set_counter(names::OPENLOOP_RETRIES, sum(|t| t.retries));
-        metrics.set_counter(names::OPENLOOP_RETRY_DENIED, sum(|t| t.retry_denied));
-        metrics.set_counter(names::OPENLOOP_GAVE_UP, sum(|t| t.gave_up));
-        metrics.set_counter(names::HARNESS_COMMITTED, completed);
-        metrics.set_counter(names::HARNESS_ABORTS, sum(|t| t.aborts));
-        metrics.set_counter(names::HARNESS_RETRIES, sum(|t| t.retries));
-        metrics.set_counter(names::HARNESS_GAVE_UP, sum(|t| t.gave_up));
-        metrics.set_histogram(names::OPENLOOP_SOJOURN, sojourn.clone());
-        let backlog_hwm = engine_samples
-            .iter()
-            .map(|s| s.gauge(names::REPL_BACKLOG))
-            .max()
-            .unwrap_or(0);
-        metrics.set_gauge(names::HARNESS_BACKLOG_HWM, backlog_hwm);
-        let a_total: u64 = a_cells.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        if let Some(b) = &core_budget {
-            let (t_final, a_final) = b.split();
-            metrics.set_counter(names::SCHED_DECISIONS, decisions.len() as u64);
-            metrics
-                .set_counter(names::SCHED_REASSIGNMENTS, split_changes(&decisions) as u64);
-            metrics.set_counter(names::SCHED_A_QUERIES, a_total);
-            metrics.set_gauge(names::SCHED_T_CORES, u64::from(t_final));
-            metrics.set_gauge(names::SCHED_A_CORES, u64::from(a_final));
         }
+        freshness
+    }
 
-        let tick_secs = ol.tick.as_secs_f64();
-        let timeseries: Vec<TimeSeriesSample> = ticks
-            .iter()
-            .zip(engine_samples.iter())
-            .map(|(t, snap)| {
-                let (t_cores, a_cores) = decisions
-                    .get(t.tick as usize)
-                    .map(|d| (d.t_cores, d.a_cores))
-                    .unwrap_or((0, 0));
-                TimeSeriesSample {
-                    t_secs: (t.tick as f64 + 1.0) * tick_secs,
-                    phase: SamplePhase::Measure,
+    /// The tick loop, on the driver's own thread. At each boundary: sleep
+    /// to it, sample the engine into the closed tick's
+    /// [`TimeSeriesSample`], step the controller or hold the pinned split,
+    /// and enqueue the new tick's arrivals. Returns the series and the
+    /// engine snapshot at the start of measurement.
+    fn tick_loop(&self, mut cores: Option<&mut Cores>) -> (Vec<TimeSeriesSample>, MetricsSnapshot) {
+        let h = self.h;
+        let clock = BenchClock::global();
+        let mut gen_rng = HatRng::derive(h.config.seed, (self.point_idx << 16) | 0xC000);
+        let mut series = Vec::with_capacity(self.ticks);
+        let mut measure_begin = MetricsSnapshot::new();
+        for k in 0..=self.ticks {
+            let boundary = self.t0 + self.tick_ns * k as Nanos;
+            let mut now = clock.now();
+            while now < boundary {
+                std::thread::sleep(Duration::from_nanos(boundary - now));
+                now = clock.now();
+            }
+            let snap = h.engine.metrics();
+            if k > 0 {
+                // The split in force during the closed tick (recorded
+                // before the controller reacts to it).
+                let (t_cores, a_cores) = cores.as_ref().map_or((0, 0), |c| c.budget.split());
+                series.push(TimeSeriesSample {
+                    t_secs: (now - self.t0) as f64 / 1e9,
+                    phase: if k <= self.warm { SamplePhase::Warmup } else { SamplePhase::Measure },
                     run: 0,
-                    tps: t.goodput as f64 / tick_secs,
-                    qps: a_cells[t.tick as usize].load(Ordering::Relaxed) as f64
-                        / tick_secs,
+                    tps: 0.0,
+                    qps: 0.0,
                     backlog: snap.gauge(names::REPL_BACKLOG),
                     delta_rows: snap.gauge(names::DELTA_ROWS),
                     live_versions: snap.gauge(names::LIVE_VERSIONS),
                     freshness_lag: 0.0,
                     health: snap.gauge(names::HEALTH_STATE),
-                    shed: t.shed_degraded,
-                    shed_overload: t.shed_overload(),
-                    offered: t.offered,
+                    shed: 0,
+                    shed_overload: 0,
+                    offered: 0,
                     t_cores,
                     a_cores,
+                });
+            }
+            if k == self.warm {
+                measure_begin = snap;
+            }
+            if k == self.ticks {
+                break;
+            }
+            if let (Some(c), true) = (cores.as_deref_mut(), k > 0) {
+                let closed = self.cells[k - 1].outcome(0);
+                let stepped = c.controller.as_mut().map(|ctl| {
+                    ctl.step(&SchedSignal {
+                        offered: closed.offered,
+                        goodput: closed.goodput,
+                        shed: closed.shed_overload(),
+                        backlog: match &self.source {
+                            Source::Closed => 0,
+                            Source::Schedule { queue, .. } => queue.lock().len() as u64,
+                        },
+                        a_done: self.cells[k - 1].queries.load(Ordering::Relaxed),
+                    })
+                });
+                c.record(k, stepped, &*h.engine, &self.t_alloc);
+            }
+            // The generator: the only writer of first attempts to the
+            // queue. It sheds at enqueue only when the bounded queue is
+            // full (the memory backstop).
+            if let Source::Schedule { ol, arrivals, queue, arrived } = &self.source {
+                let (n, cell) = (arrivals[k], &self.cells[k]);
+                cell.offered.fetch_add(n, Ordering::Relaxed);
+                if n > 0 {
+                    let enq = clock.now();
+                    let mut q = queue.lock();
+                    let admitted = n.min((ol.queue_cap as usize).saturating_sub(q.len()) as u64);
+                    q.extend((0..admitted).map(|_| Request {
+                        enq,
+                        attempt: 1,
+                        kind: h.mix.draw(&mut gen_rng),
+                    }));
+                    drop(q);
+                    cell.enqueued.fetch_add(admitted, Ordering::Relaxed);
+                    cell.shed_queue.fetch_add(n - admitted, Ordering::Relaxed);
+                    arrived.notify_all();
                 }
-            })
-            .collect();
+            }
+        }
+        self.stop.store(true, Ordering::Relaxed);
+        if let Source::Schedule { arrived, .. } = &self.source {
+            arrived.notify_all();
+        }
+        (series, measure_begin)
+    }
+
+    /// Derives both measurements from the cells of the measured ticks.
+    fn measurement(
+        self,
+        mut series: Vec<TimeSeriesSample>,
+        measure_begin: MetricsSnapshot,
+        freshness: Vec<FreshnessSample>,
+        cores: Option<Cores>,
+        t_clients: u32,
+        a_clients: u32,
+    ) -> OpenLoopMeasurement {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let tick_secs = self.tick_ns as f64 / 1e9;
+        for (s, c) in series.iter_mut().zip(&self.cells) {
+            let (t, queries) = (c.outcome(0), load(&c.queries));
+            s.tps = t.goodput as f64 / tick_secs;
+            s.qps = queries as f64 / tick_secs;
+            if queries > 0 {
+                s.freshness_lag = load(&c.fresh_ns) as f64 / 1e9 / queries as f64;
+            }
+            s.shed = t.shed_degraded;
+            s.shed_overload = t.shed_overload();
+            s.offered = t.offered;
+        }
+        let measured = &self.cells[self.warm..self.ticks];
+        let ticks: Vec<OpenLoopTick> =
+            measured.iter().enumerate().map(|(k, c)| c.outcome(k as u32)).collect();
+        let sum = |f: fn(&OpenLoopTick) -> u64| ticks.iter().map(f).sum::<u64>();
+        let cell_sum =
+            |f: fn(&TickCells) -> &AtomicU64| measured.iter().map(|c| load(f(c))).sum::<u64>();
+        let (goodput, queries, in_doubt) =
+            (sum(|t| t.goodput), cell_sum(|c| &c.queries), cell_sum(|c| &c.in_doubt));
+        let elapsed = ticks.len() as f64 * tick_secs;
+
+        // The window diff captures what the engine did during measurement;
+        // the cumulative snapshot keeps the since-start counters (WAL
+        // recovery, fsyncs, scan totals).
+        let metrics_end = self.h.engine.metrics();
+        let mut metrics = metrics_end.diff(&measure_begin);
+        metrics.set_counter(names::HARNESS_COMMITTED, sum(|t| t.completed) - in_doubt);
+        metrics.set_counter(names::HARNESS_QUERIES, queries);
+        metrics.set_counter(
+            names::HARNESS_ABORTS,
+            sum(|t| t.aborts + t.shed_engine + t.shed_degraded),
+        );
+        metrics.set_counter(names::HARNESS_RETRIES, sum(|t| t.retries));
+        metrics.set_counter(names::HARNESS_TIMEOUTS, in_doubt);
+        metrics.set_counter(names::HARNESS_GAVE_UP, sum(|t| t.gave_up));
+        metrics.set_counter(names::HARNESS_QUERY_RETRIES, cell_sum(|c| &c.query_retries));
+        metrics.set_gauge(
+            names::HARNESS_BACKLOG_HWM,
+            series.iter().map(|s| s.backlog).max().unwrap_or(0),
+        );
+        let sojourn = self.sojourn.snapshot();
+        if let Source::Schedule { .. } = &self.source {
+            metrics.set_counter(names::OPENLOOP_OFFERED, sum(|t| t.offered));
+            metrics.set_counter(names::OPENLOOP_STARTED, cell_sum(|c| &c.started));
+            metrics.set_counter(names::OPENLOOP_COMPLETED, sum(|t| t.completed));
+            metrics.set_counter(names::OPENLOOP_GOODPUT, goodput);
+            metrics.set_counter(names::OPENLOOP_DEADLINE_MISSED, sum(|t| t.deadline_missed));
+            metrics.set_counter(names::OPENLOOP_SHED_QUEUE, sum(|t| t.shed_queue));
+            metrics.set_counter(names::OPENLOOP_SHED_STALE, sum(|t| t.shed_stale));
+            metrics.set_counter(names::OPENLOOP_SHED_ENGINE, sum(|t| t.shed_engine));
+            metrics.set_counter(names::OPENLOOP_SHED_DEGRADED, sum(|t| t.shed_degraded));
+            metrics.set_counter(names::OPENLOOP_RETRIES, sum(|t| t.retries));
+            metrics.set_counter(names::OPENLOOP_RETRY_DENIED, sum(|t| t.retry_denied));
+            metrics.set_counter(names::OPENLOOP_GAVE_UP, sum(|t| t.gave_up));
+            metrics.set_histogram(names::OPENLOOP_SOJOURN, sojourn.clone());
+        }
+        let decisions = match cores {
+            Some(c) => {
+                let (t_final, a_final) = c.budget.split();
+                metrics.set_counter(names::SCHED_DECISIONS, c.decisions.len() as u64);
+                metrics.set_counter(names::SCHED_REASSIGNMENTS, split_changes(&c.decisions) as u64);
+                metrics.set_counter(names::SCHED_A_QUERIES, queries);
+                metrics.set_gauge(names::SCHED_T_CORES, u64::from(t_final));
+                metrics.set_gauge(names::SCHED_A_CORES, u64::from(a_final));
+                c.decisions
+            }
+            None => Vec::new(),
+        };
+        self.txn_latency.install(&mut metrics, names::LATENCY_TXN_PREFIX);
+        self.query_latency.install(&mut metrics, names::LATENCY_QUERY_PREFIX);
 
         let point = PointMeasurement {
-            t_clients: t_workers,
-            a_clients: u32::from(core_budget.is_some()),
+            t_clients,
+            a_clients,
             tps: goodput as f64 / elapsed,
-            qps: a_total as f64 / elapsed,
+            qps: queries as f64 / elapsed,
             metrics,
             metrics_end,
-            timeseries,
-            freshness: Vec::new(),
+            timeseries: series,
+            freshness,
             measured_secs: elapsed,
         };
-        Ok(OpenLoopMeasurement { point, ticks, sojourn, decisions })
+        OpenLoopMeasurement { point, ticks, sojourn, decisions }
     }
 }
 

@@ -53,10 +53,8 @@
 
 use hat_common::rng::HatRng;
 
-/// Per-tick signals the controller reads. In an open-loop run these
-/// come from the previous tick's outcome cells and the arrival-queue
-/// depth at the tick boundary; in a closed-loop run from engine metric
-/// deltas between samples.
+/// Per-tick signals the controller reads: the previous tick's outcome
+/// cells and the arrival-queue depth at the tick boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedSignal {
     /// Arrivals offered in the tick.

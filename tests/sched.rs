@@ -353,6 +353,13 @@ fn pinned_runs_carry_a_constant_trace_and_budget_is_validated() {
     assert!(m.decisions.iter().all(|d| (d.t_cores, d.a_cores) == (3, 1)));
     assert_eq!(split_changes(&m.decisions), 0);
     assert_eq!(m.point.a_clients, 1);
+    // The analytical side is the point driver's own client: its queries
+    // are scored for freshness (always zero on the shared engine) and
+    // carry per-query latencies.
+    assert!(!m.point.freshness.is_empty(), "pinned run scored no freshness");
+    assert!(m.point.freshness.iter().all(|&f| f == 0.0), "{:?}", m.point.freshness);
+    assert_eq!(m.point.freshness.len() as u64, m.point.queries());
+    assert!(!m.point.query_latency().is_empty(), "pinned run recorded no query latency");
 
     // An out-of-range budget is a typed config error, not a panic.
     let err = sched_harness()
