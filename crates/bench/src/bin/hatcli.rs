@@ -196,7 +196,7 @@ fn parse_durability(args: &Args) -> Option<DurabilityMode> {
             if matches!(args.get(&["durability"]), Some("off")) {
                 DurabilityMode::Off
             } else {
-                DurabilityMode::SleepDefault
+                DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY)
             }
         }
         Some("fsync") => {
@@ -709,8 +709,8 @@ fn cmd_compare(args: &Args) -> i32 {
     let names = ["shared", "isolated-on", "dual", "learner"];
     let mut results: Vec<(String, Frontier, FreshnessAgg)> = Vec::new();
     for name in names {
-        let harness = make_harness(name, sf, 7, &DurabilityMode::SleepDefault, args, 1)
-            .expect("builtin engine");
+        let durability = DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY);
+        let harness = make_harness(name, sf, 7, &durability, args, 1).expect("builtin engine");
         let grid = build_grid(&harness, &cfg);
         let frontier = Frontier::from_grid(&grid);
         let fresh: Vec<f64> = grid

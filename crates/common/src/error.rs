@@ -50,9 +50,9 @@ pub enum HatError {
     /// anything was installed (e.g. consensus rounds timed out under a
     /// link partition). The transaction aborted cleanly; safe to retry.
     ReplicaUnavailable,
-    /// A WAL subscription asked for an LSN that the bounded retention
-    /// ring has already evicted; the subscriber needs a full resync
-    /// (basebackup) instead of log catch-up.
+    /// A restarting log follower needs an LSN that was dropped while it
+    /// was down (more records than its retention bound); it needs a full
+    /// resync (basebackup) instead of log catch-up.
     WalTruncated { requested: u64, oldest: u64 },
     /// An on-disk WAL segment or checkpoint is structurally invalid
     /// (bad magic, impossible frame length, LSN discontinuity, torn

@@ -188,7 +188,7 @@ impl Default for EngineConfig {
             indexes: IndexProfile::All,
             shards: 1,
             lock_policy: LockPolicy::NoWait,
-            durability: DurabilityMode::SleepDefault,
+            durability: DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY),
             vacuum_interval: Some(EngineConfig::DEFAULT_VACUUM_INTERVAL),
             admission: AdmissionConfig::default(),
         }
@@ -413,10 +413,7 @@ mod tests {
         // Commits pay a durability wait by default (Sleep group commit at
         // the SSD-class latency) so throughput numbers stay honest.
         assert!(!c.durability.is_off());
-        assert_eq!(
-            c.durability.resolved(),
-            DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY)
-        );
+        assert_eq!(c.durability, DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY));
         assert_eq!(c.lock_policy, LockPolicy::NoWait);
         assert_eq!(c.shards, 1, "single-shard kernel is the baseline");
         // Admission control is off by default: closed-loop runs bound

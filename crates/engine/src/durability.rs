@@ -21,7 +21,7 @@ use parking_lot::{Condvar, Mutex};
 
 /// How commits become durable. Part of
 /// [`EngineConfig`](crate::api::EngineConfig).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DurabilityMode {
     /// No durability wait at all: commits acknowledge as soon as they are
     /// installed. Raw in-memory speed; used by tests and ablations.
@@ -33,26 +33,13 @@ pub enum DurabilityMode {
     /// A real on-disk WAL: checksummed segments, one fsync per batch of
     /// concurrent commits, checkpoints, and crash recovery.
     Fsync(WalConfig),
-    /// `Sleep` at the default latency (stable `Default` for configs).
-    #[default]
-    SleepDefault,
 }
 
 impl DurabilityMode {
-    /// Resolves [`DurabilityMode::SleepDefault`] to a concrete sleep.
-    pub fn resolved(&self) -> DurabilityMode {
-        match self {
-            DurabilityMode::SleepDefault => {
-                DurabilityMode::Sleep(crate::api::EngineConfig::DEFAULT_COMMIT_LATENCY)
-            }
-            other => other.clone(),
-        }
-    }
-
     /// Whether commits pay any durability wait at all.
     pub fn is_off(&self) -> bool {
-        matches!(self.resolved(), DurabilityMode::Off)
-            || matches!(self.resolved(), DurabilityMode::Sleep(d) if d.is_zero())
+        matches!(self, DurabilityMode::Off)
+            || matches!(self, DurabilityMode::Sleep(d) if d.is_zero())
     }
 }
 
@@ -151,22 +138,21 @@ impl DurabilityLayer {
     /// Builds the layer; for `Fsync` this opens the WAL directory and
     /// runs recovery, returning what was found for the kernel to replay.
     pub fn open(mode: &DurabilityMode) -> Result<(Self, Option<WalRecovery>)> {
-        Ok(match mode.resolved() {
+        Ok(match mode {
             DurabilityMode::Off => (DurabilityLayer::Off, None),
             DurabilityMode::Sleep(latency) if latency.is_zero() => {
                 (DurabilityLayer::Off, None)
             }
             DurabilityMode::Sleep(latency) => (
                 DurabilityLayer::Sleep(SleepGroupCommitHandle(SleepGroupCommit::new(
-                    latency,
+                    *latency,
                 ))),
                 None,
             ),
             DurabilityMode::Fsync(config) => {
-                let (wal, recovery) = DurableWal::open(config)?;
+                let (wal, recovery) = DurableWal::open(config.clone())?;
                 (DurabilityLayer::Fsync(wal), Some(recovery))
             }
-            DurabilityMode::SleepDefault => unreachable!("resolved above"),
         })
     }
 
@@ -265,14 +251,13 @@ impl ShardedDurability {
         let mut layers = Vec::with_capacity(shards);
         let mut recoveries = Vec::with_capacity(shards);
         for s in 0..shards {
-            let shard_mode = match (shards, mode.resolved()) {
-                (1, m) => m,
-                (_, DurabilityMode::Fsync(cfg)) => {
+            let shard_mode = match mode {
+                DurabilityMode::Fsync(cfg) if shards > 1 => {
                     let mut c = cfg.clone();
                     c.dir = cfg.dir.join(format!("shard-{s}"));
                     DurabilityMode::Fsync(c)
                 }
-                (_, m) => m,
+                m => m.clone(),
             };
             let (layer, recovery) = DurabilityLayer::open(&shard_mode)?;
             layers.push(layer);
@@ -417,14 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn mode_resolution_and_off_detection() {
+    fn off_detection() {
         assert!(DurabilityMode::Off.is_off());
         assert!(DurabilityMode::Sleep(Duration::ZERO).is_off());
-        assert!(!DurabilityMode::SleepDefault.is_off());
-        assert_eq!(
-            DurabilityMode::SleepDefault.resolved(),
-            DurabilityMode::Sleep(crate::api::EngineConfig::DEFAULT_COMMIT_LATENCY)
-        );
+        assert!(!DurabilityMode::Sleep(Duration::from_micros(100)).is_off());
         let (layer, rec) = DurabilityLayer::open(&DurabilityMode::Off).unwrap();
         assert!(rec.is_none());
         assert!(matches!(layer, DurabilityLayer::Off));

@@ -3,26 +3,39 @@
 //!
 //! Both designs keep a second copy current by consuming a totally ordered
 //! commit log on a background thread. The follower owns everything they
-//! have in common: the log itself, the subscription at `applied_lsn + 1`,
-//! catch-up versus throttled replay, the applied LSN / backlog /
-//! watermark bookkeeping, and crash / restart / quiesce. A design passes
-//! in a [`Replay`]: its throttle and its apply step.
+//! have in common: the log itself — one queue of the records not yet
+//! applied — catch-up versus throttled replay, the applied LSN / backlog
+//! / watermark bookkeeping, and crash / restart / quiesce. A design
+//! passes in a [`Replay`]: its throttle and its apply step.
+//!
+//! # Retention and rejoin
+//!
+//! A live follower never loses a record: the queue grows with its lag. A
+//! crashed one keeps at most `wal_retention` records (the in-memory
+//! analogue of `wal_keep_size` / a Raft log's unsnapshotted suffix),
+//! oldest dropped first. A restart resumes at the front of the queue; if
+//! records after the last applied one were dropped, it fails with
+//! [`HatError::WalTruncated`] and the copy needs a full resync instead.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use hat_common::Result;
-use hat_storage::wal::{LogRecord, Lsn, TableOp, Wal};
+use hat_common::clock::BenchClock;
+use hat_common::{HatError, Result};
+use hat_storage::wal::{LogRecord, Lsn, TableOp};
 use hat_txn::{Ts, Watermark, LOAD_TS};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::design::{Background, Stop, Task};
 
 /// How long a follower blocks on an empty log, or on a partitioned link,
 /// before it re-checks its stop flag.
 pub const POLL: Duration = Duration::from_millis(5);
+
+/// Records a crashed follower keeps for catch-up by default.
+pub const DEFAULT_RETENTION: usize = 65_536;
 
 /// What a follower does with each shipped record.
 pub trait Replay: Send + Sync + 'static {
@@ -56,25 +69,38 @@ impl Pace<'_> {
     }
 }
 
+/// The log, guarded by one lock.
+struct Log {
+    /// Records not yet applied, oldest first; contiguous LSNs.
+    queue: VecDeque<Arc<LogRecord>>,
+    /// LSN the next record receives.
+    next_lsn: Lsn,
+    /// Highest commit timestamp with a log record. Timestamps *without*
+    /// records exist (serializable validation failures burn one), so
+    /// waiting for the follower must target this, not the read horizon.
+    last_ts: Ts,
+    /// Highest LSN applied. Survives a crash, so a restart resumes right
+    /// after it without losing or double-applying records.
+    applied_lsn: Lsn,
+    /// The replay thread waits on an empty queue and needs a wake-up.
+    parked: bool,
+}
+
 /// A log plus the thread that replays it into a second copy.
 pub struct Follower<R: Replay> {
     /// Thread name of each incarnation.
     name: &'static str,
-    wal: Wal,
+    /// Bound on the queue while the follower is down.
+    retention: usize,
+    log: Mutex<Log>,
+    /// Signals a record to a parked replay thread.
+    wake: Condvar,
     /// The copy the log replays into, with its throttle.
     pub target: R,
     /// Applied horizon of the copy.
     pub applied: Watermark,
-    /// Records logged but not yet applied.
-    backlog: AtomicU64,
-    /// Highest commit timestamp with a log record. Timestamps *without*
-    /// records exist (serializable validation failures burn one), so
-    /// waiting for the follower must target this, not the read horizon.
-    last_logged: AtomicU64,
-    /// Highest LSN applied. Survives a crash, so a restart can rejoin the
-    /// log at `applied_lsn + 1` without losing or double-applying records.
-    applied_lsn: AtomicU64,
-    /// The follower is crashed: no thread is consuming the log.
+    /// The follower is crashed: no thread is consuming the log, so it
+    /// may drop records past `retention`.
     down: AtomicBool,
     /// When set, the thread skips its simulated costs — used by quiesce
     /// to drain the backlog at memory speed (catch-up recovery runs
@@ -86,17 +112,23 @@ pub struct Follower<R: Replay> {
 }
 
 impl<R: Replay> Follower<R> {
-    /// A follower over a fresh log retaining `wal_retention` records for
-    /// catch-up. Its thread starts at [`Follower::start`].
+    /// A follower over an empty log that keeps `wal_retention` records
+    /// for catch-up while it is down. Its thread starts at
+    /// [`Follower::start`].
     pub fn new(name: &'static str, wal_retention: usize, target: R) -> Self {
         Follower {
             name,
-            wal: Wal::with_retention(wal_retention),
+            retention: wal_retention,
+            log: Mutex::new(Log {
+                queue: VecDeque::new(),
+                next_lsn: 1,
+                last_ts: LOAD_TS,
+                applied_lsn: 0,
+                parked: false,
+            }),
+            wake: Condvar::new(),
             target,
             applied: Watermark::new(LOAD_TS),
-            backlog: AtomicU64::new(0),
-            last_logged: AtomicU64::new(LOAD_TS),
-            applied_lsn: AtomicU64::new(0),
             down: AtomicBool::new(false),
             fast_drain: AtomicBool::new(false),
             task: Mutex::new(None),
@@ -104,21 +136,37 @@ impl<R: Replay> Follower<R> {
     }
 
     /// Logs one commit. Called from the commit hook inside the commit
-    /// critical section, so `last_logged` is monotonic.
+    /// critical section, so LSNs and `last_logged` follow commit order.
     pub fn log(&self, ts: Ts, ops: &[TableOp]) {
-        self.backlog.fetch_add(1, Ordering::Relaxed);
-        self.last_logged.store(ts, Ordering::Release);
-        self.wal.append(ts, ops.to_vec());
+        let ops = ops.to_vec();
+        let sent_at = BenchClock::global().now();
+        let mut log = self.log.lock();
+        let lsn = log.next_lsn;
+        log.next_lsn += 1;
+        log.last_ts = ts;
+        log.queue.push_back(Arc::new(LogRecord { lsn, commit_ts: ts, sent_at, ops }));
+        if self.is_down() {
+            while log.queue.len() > self.retention {
+                log.queue.pop_front();
+            }
+        }
+        // Only a thread parked on an empty queue needs the futex wake.
+        let wake = std::mem::take(&mut log.parked);
+        drop(log);
+        if wake {
+            self.wake.notify_one();
+        }
     }
 
     /// Records logged but not yet applied.
     pub fn backlog(&self) -> u64 {
-        self.backlog.load(Ordering::Relaxed)
+        let log = self.log.lock();
+        log.next_lsn - 1 - log.applied_lsn
     }
 
     /// Highest commit timestamp with a log record.
     pub fn last_logged(&self) -> Ts {
-        self.last_logged.load(Ordering::Acquire)
+        self.log.lock().last_ts
     }
 
     /// Whether the follower is crashed.
@@ -126,17 +174,24 @@ impl<R: Replay> Follower<R> {
         self.down.load(Ordering::Acquire)
     }
 
-    /// Starts the first incarnation (after load).
+    /// Starts an incarnation at the front of the queue: the record right
+    /// after the last applied one. Records logged before this call are
+    /// catch-up work, applied at memory speed like recovery replay; later
+    /// records are throttled.
     pub fn start(self: &Arc<Self>, background: &Background) -> Result<()> {
-        // Rejoin exactly after the last applied record: the retention ring
-        // replays everything logged since, atomically with registration,
-        // so no record is lost or doubled.
-        let rx = self.wal.subscribe_from(self.applied_lsn.load(Ordering::Acquire) + 1)?;
-        // Records logged before this start are catch-up work, applied at
-        // memory speed like recovery replay. Later records are throttled.
-        let catchup_end = self.wal.appended();
+        let catchup_end = {
+            let log = self.log.lock();
+            let oldest = log.queue.front().map_or(log.next_lsn, |r| r.lsn);
+            let requested = log.applied_lsn + 1;
+            if requested < oldest {
+                return Err(HatError::WalTruncated { requested, oldest });
+            }
+            // Under the lock: no record is dropped after the check.
+            self.down.store(false, Ordering::Release);
+            log.next_lsn - 1
+        };
         let me = Arc::clone(self);
-        let task = background.spawn(self.name, move |stop| me.run(&rx, catchup_end, stop));
+        let task = background.spawn(self.name, move |stop| me.run(catchup_end, stop));
         *self.task.lock() = Some(task);
         Ok(())
     }
@@ -146,22 +201,20 @@ impl<R: Replay> Follower<R> {
     pub fn crash(&self) {
         let task = self.task.lock().take();
         if let Some(task) = task {
-            self.down.store(true, Ordering::Release);
             task.stop();
+            self.down.store(true, Ordering::Release);
         }
     }
 
     /// Restarts a crashed follower: catches up on the retained log at
     /// memory speed, then resumes throttled replay. Fails with
-    /// `HatError::WalTruncated` if the follower fell behind the retention
-    /// ring. A no-op while the follower is up.
+    /// `HatError::WalTruncated` if records were dropped while it was
+    /// down. A no-op while the follower is up.
     pub fn restart(self: &Arc<Self>, background: &Background) -> Result<()> {
         if !self.is_down() {
             return Ok(());
         }
-        self.start(background)?;
-        self.down.store(false, Ordering::Release);
-        Ok(())
+        self.start(background)
     }
 
     /// Blocks until everything logged so far is applied, draining at
@@ -181,27 +234,97 @@ impl<R: Replay> Follower<R> {
         Ok(())
     }
 
-    fn run(&self, rx: &Receiver<Arc<LogRecord>>, catchup_end: Lsn, stop: &Stop) {
-        let pace = Pace { stop, fast_drain: &self.fast_drain };
+    /// The oldest unapplied record, left in the queue; `None` once
+    /// stopped.
+    fn front(&self, stop: &Stop) -> Option<Arc<LogRecord>> {
+        let mut log = self.log.lock();
         while !stop.is_set() {
-            let record = match rx.recv_timeout(POLL) {
-                Ok(record) => record,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
+            if let Some(record) = log.queue.front() {
+                return Some(Arc::clone(record));
+            }
+            log.parked = true;
+            self.wake.wait_for(&mut log, POLL);
+            log.parked = false;
+        }
+        None
+    }
+
+    fn run(&self, catchup_end: Lsn, stop: &Stop) {
+        let pace = Pace { stop, fast_drain: &self.fast_drain };
+        while let Some(record) = self.front(stop) {
             let live = record.lsn > catchup_end && !pace.draining();
             if live && !self.target.throttle(&record, &pace) {
-                // Unapplied: applied_lsn still points before this record,
-                // so a restart's subscription replays it.
+                // Unapplied: it stays at the front for a restart.
                 break;
             }
             self.target.apply(&record);
-            self.applied_lsn.store(record.lsn, Ordering::Release);
-            // Decrement before advancing: quiesce/reset observe a zero
-            // backlog only after the watermark they waited on.
-            self.backlog.fetch_sub(1, Ordering::Relaxed);
+            // Pop before advancing: quiesce/reset observe a zero backlog
+            // only after the watermark they waited on.
+            {
+                let mut log = self.log.lock();
+                log.queue.pop_front();
+                log.applied_lsn = record.lsn;
+            }
             self.applied.advance(record.commit_ts);
             self.target.after_advance(record.commit_ts);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Applies a record by noting its LSN.
+    #[derive(Default)]
+    struct Collect(Mutex<Vec<Lsn>>);
+
+    impl Replay for Collect {
+        fn throttle(&self, _record: &LogRecord, _pace: &Pace<'_>) -> bool {
+            true
+        }
+
+        fn apply(&self, record: &LogRecord) {
+            self.0.lock().push(record.lsn);
+        }
+    }
+
+    /// Logs `n` empty commits at consecutive timestamps.
+    fn log(follower: &Follower<Collect>, n: u64) {
+        for _ in 0..n {
+            let ts = follower.last_logged() + 1;
+            follower.log(ts, &[]);
+        }
+    }
+
+    #[test]
+    fn retention_bounds_only_a_crashed_follower_at_its_exact_edge() {
+        // Retention 4: a follower that misses exactly 4 records while down
+        // catches up on all of them; one that misses 5 needs a resync.
+        for missed in [4, 5] {
+            let background = Background::default();
+            let follower = Arc::new(Follower::new("follower-test", 4, Collect::default()));
+            // Logged before the first start: applied as catch-up, never
+            // trimmed (the follower is not down).
+            log(&follower, 6);
+            follower.start(&background).unwrap();
+            follower.quiesce();
+            follower.crash();
+            log(&follower, missed);
+            assert_eq!(follower.backlog(), missed, "dropped records still count as unapplied");
+            match follower.restart(&background) {
+                Ok(()) => {
+                    assert_eq!(missed, 4);
+                    follower.quiesce();
+                    assert_eq!(*follower.target.0.lock(), (1..=10).collect::<Vec<_>>());
+                    assert_eq!(follower.backlog(), 0);
+                }
+                Err(err) => {
+                    assert_eq!(missed, 5);
+                    assert_eq!(err, HatError::WalTruncated { requested: 7, oldest: 8 });
+                    assert!(follower.is_down(), "a failed restart leaves the follower down");
+                }
+            }
         }
     }
 }

@@ -21,12 +21,12 @@ use hat_common::telemetry::{names, MetricsSnapshot};
 use hat_common::{HatError, Result, TableId};
 use hat_query::view::MixedView;
 use hat_storage::colstore::{ColumnTable, DimColumnCopy};
-use hat_storage::wal::{LogRecord, TableOp, DEFAULT_RETENTION};
+use hat_storage::wal::{LogRecord, TableOp};
 use hat_txn::{IsolationLevel, Ts, LOAD_TS};
 
 use crate::api::{DesignCategory, EngineConfig, IndexProfile};
 use crate::design::{Background, Design, Engine, Snapshot};
-use crate::follower::{Follower, Pace, Replay};
+use crate::follower::{Follower, Pace, Replay, DEFAULT_RETENTION};
 use crate::kernel::{CommitHooks, RowKernel};
 use crate::netsim::NetworkLink;
 
@@ -336,7 +336,7 @@ pub struct LearnerConfig {
     /// the applied watermark; rather than hanging, the query fails with
     /// the retryable [`HatError::ReplicaUnavailable`].
     pub read_index_timeout: Duration,
-    /// Log records retained for learner catch-up after a crash.
+    /// Log records kept for learner catch-up while the learner is down.
     pub wal_retention: usize,
     /// Row-side MVCC vacuum cadence (`None` disables it); forwarded to
     /// the kernel's [`EngineConfig::vacuum_interval`]. The columnar copy
@@ -493,10 +493,11 @@ impl LearnerEngine {
         self.design.follower.crash();
     }
 
-    /// Restarts a crashed learner: rejoins the log at the last applied
-    /// LSN + 1, fast-drains the retained backlog, resumes normal replay.
-    /// Fails with [`HatError::WalTruncated`] if the learner fell behind
-    /// the retention ring.
+    /// Restarts a crashed learner: resumes the log right after the last
+    /// applied record, fast-drains the retained backlog, resumes normal
+    /// replay. Fails with [`HatError::WalTruncated`] if more than
+    /// [`LearnerConfig::wal_retention`] records were logged while it was
+    /// down.
     pub fn restart_learner(&self) -> Result<()> {
         self.design.follower.restart(&self.background)
     }

@@ -26,12 +26,12 @@ use hat_common::telemetry::{names, MetricsSnapshot};
 use hat_common::{HatError, Result, Row, TableId};
 use hat_query::view::MixedView;
 use hat_storage::rowstore::RowDb;
-use hat_storage::wal::{LogRecord, TableOp, DEFAULT_RETENTION};
+use hat_storage::wal::{LogRecord, TableOp};
 use hat_txn::{SnapshotRegistry, Ts, LOAD_TS};
 
 use crate::api::{DesignCategory, EngineConfig};
 use crate::design::{Background, Design, Engine, Snapshot};
-use crate::follower::{Follower, Pace, Replay, POLL};
+use crate::follower::{Follower, Pace, Replay, DEFAULT_RETENTION, POLL};
 use crate::kernel::{CommitHooks, RowKernel};
 use crate::netsim::NetworkLink;
 
@@ -76,9 +76,10 @@ pub struct IsoConfig {
     /// partitioned — returns [`HatError::ReplicationTimeout`] instead of
     /// hanging: the writes stay durable on the primary (committed-in-doubt).
     pub commit_timeout: Duration,
-    /// WAL records retained for standby catch-up after a crash
-    /// (`wal_keep_size`); a standby further behind than this needs a full
-    /// basebackup ([`HatError::WalTruncated`]).
+    /// WAL records kept for standby catch-up while the standby is down
+    /// (`wal_keep_size`); a standby that misses more than this needs a
+    /// full basebackup ([`HatError::WalTruncated`]). A live standby never
+    /// loses a record, however far it lags.
     pub wal_retention: usize,
 }
 
@@ -277,13 +278,13 @@ impl IsoEngine {
         self.design.follower.crash();
     }
 
-    /// Restarts a crashed standby: rejoins the WAL at the last applied
-    /// LSN + 1, fast-drains the retained backlog (catch-up recovery runs
-    /// unthrottled), then resumes normal throttled replay.
+    /// Restarts a crashed standby: resumes the WAL right after the last
+    /// applied record, fast-drains the retained backlog (catch-up recovery
+    /// runs unthrottled), then resumes normal throttled replay.
     ///
-    /// Fails with [`HatError::WalTruncated`] if the standby fell further
-    /// behind than [`IsoConfig::wal_retention`]; a real system would take
-    /// a fresh basebackup here.
+    /// Fails with [`HatError::WalTruncated`] if more than
+    /// [`IsoConfig::wal_retention`] records were logged while it was down;
+    /// a real system would take a fresh basebackup here.
     pub fn restart_replica(&self) -> Result<()> {
         self.design.follower.restart(&self.background)
     }
@@ -415,7 +416,11 @@ mod tests {
     }
 
     fn loaded_engine(mode: ReplicationMode) -> IsoEngine {
-        let engine = IsoEngine::new(fast_config(mode));
+        loaded_with(fast_config(mode))
+    }
+
+    fn loaded_with(config: IsoConfig) -> IsoEngine {
+        let engine = IsoEngine::new(config);
         let customers: Vec<Row> = (1..=10).map(customer_row).collect();
         engine.load(TableId::Customer, &mut customers.into_iter()).unwrap();
         let fr: Vec<Row> = (0..2).map(|c| freshness_row(c, 0)).collect();
@@ -646,6 +651,32 @@ mod tests {
         // Watermark continuity: the applied horizon reached the last
         // logged commit.
         assert!(engine.applied_ts() >= engine.design.follower.last_logged());
+    }
+
+    #[test]
+    fn live_replica_behind_a_partition_loses_nothing_past_retention() {
+        // Retention bounds the log only while the standby is down: a live
+        // standby cut off by a partition must get every record once the
+        // link heals, however far past the retention bound it fell.
+        let retention = 4;
+        let mut cfg = fast_config(ReplicationMode::Async);
+        cfg.wal_retention = retention;
+        let engine = loaded_with(cfg);
+        engine.link().partition();
+        let mut last = 0;
+        for ck in 11..(11 + 3 * retention as u32) {
+            let mut s = engine.begin();
+            s.insert(TableId::Customer, customer_row(ck)).unwrap();
+            last = s.commit().unwrap().ts;
+        }
+        assert!(!engine.is_replica_down());
+        engine.link().heal();
+        engine.quiesce_replication();
+        assert_eq!(engine.applied_ts(), last);
+        assert_eq!(engine.metrics().gauge(names::REPL_BACKLOG), 0);
+        let out = engine.query(&count_customers_spec(), &QueryOpts::default()).unwrap();
+        let rows = out.groups[0].agg;
+        assert_eq!(rows, 10 + 3 * retention as i64, "every record applied exactly once");
     }
 
     #[test]

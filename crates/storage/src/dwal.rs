@@ -1,8 +1,8 @@
 //! Durable on-disk write-ahead log with group commit, checksummed
 //! segments, checkpoints, and crash recovery.
 //!
-//! The in-memory [`crate::wal::Wal`] models *shipping* (replication fan-out
-//! with bounded retention); this module models *durability* — the cost the
+//! [`crate::wal::LogRecord`] models *shipping* (what a replica replays);
+//! this module models *durability* — the cost the
 //! paper's evaluated systems pay at `synchronous_commit = on` (PostgreSQL)
 //! or on the Raft-log fsync path (TiDB, §6.3).
 //!

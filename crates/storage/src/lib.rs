@@ -7,9 +7,8 @@
 //! * [`colstore`] — a columnar store with dictionary and run-length
 //!   compression plus an in-row-format delta; the analytical backbone of the
 //!   hybrid engines.
-//! * [`wal`] — commit log records and an in-memory write-ahead log with
-//!   subscriber channels, used for streaming replication and the columnar
-//!   learner.
+//! * [`wal`] — commit log records, shipped to the isolated standby and
+//!   the columnar learner.
 //! * [`dwal`] — the durable on-disk write-ahead log: checksummed segment
 //!   files, a group-commit flusher, checkpoints, and crash recovery.
 
@@ -26,4 +25,4 @@ pub use dwal::{
     WalRecovery,
 };
 pub use rowstore::{PruneStats, RowDb, RowId, RowStore};
-pub use wal::{LogRecord, TableOp, Wal};
+pub use wal::{LogRecord, TableOp};

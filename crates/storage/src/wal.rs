@@ -1,40 +1,16 @@
-//! Commit log records and an in-memory write-ahead log with subscribers
-//! and a bounded retention ring.
+//! Commit log records.
 //!
 //! The isolated engine ships these records to its replica ("streaming WAL
 //! records ... as they are generated", §6.3) and the TiDB-like engine ships
 //! them to its columnar learner. Records are *physical*: inserts carry the
 //! row id the primary allocated, so a replica that applies records in LSN
 //! order reproduces the primary's row addressing exactly.
-//!
-//! # Retention and rejoin
-//!
-//! The log keeps the most recent [`Wal::retention`] records in a ring (the
-//! in-memory analogue of `wal_keep_size` / a Raft log's unsnapshotted
-//! suffix). A replica that crashed can rejoin with
-//! [`Wal::subscribe_from`]`(last_applied_lsn + 1)`: retained records from
-//! that LSN are replayed into the new channel atomically with subscriber
-//! registration, so no record is lost or duplicated at the hand-off. If
-//! the requested LSN has already been evicted from the ring, the call
-//! fails with [`HatError::WalTruncated`] and the subscriber must take a
-//! full basebackup instead of log catch-up.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hat_common::clock::BenchClock;
-use hat_common::{HatError, Nanos, Result, Row, TableId};
+use hat_common::{Nanos, Row, TableId};
 use hat_txn::Ts;
-use parking_lot::Mutex;
 
 /// Log sequence number; dense, starting at 1.
 pub type Lsn = u64;
-
-/// Records retained for catch-up unless overridden with
-/// [`Wal::with_retention`].
-pub const DEFAULT_RETENTION: usize = 65_536;
 
 /// One redo operation within a committed transaction.
 #[derive(Debug, Clone)]
@@ -63,286 +39,4 @@ pub struct LogRecord {
     /// receivers to model network transit without a shared sleep.
     pub sent_at: Nanos,
     pub ops: Vec<TableOp>,
-}
-
-/// Subscriber list and retention ring, guarded together so that
-/// `subscribe_from`'s replay + registration is atomic with respect to
-/// concurrent appends.
-struct WalInner {
-    subscribers: Vec<Sender<Arc<LogRecord>>>,
-    /// Most recent records, oldest first; contiguous LSNs.
-    ring: VecDeque<Arc<LogRecord>>,
-}
-
-/// An in-memory write-ahead log that fans records out to subscribers.
-///
-/// Appends are expected to happen inside the commit critical section, so
-/// records arrive at subscribers in strictly increasing (lsn, commit_ts)
-/// order.
-pub struct Wal {
-    next_lsn: AtomicU64,
-    retention: usize,
-    inner: Mutex<WalInner>,
-}
-
-impl Wal {
-    /// An empty log with no subscribers and default retention.
-    pub fn new() -> Self {
-        Self::with_retention(DEFAULT_RETENTION)
-    }
-
-    /// An empty log retaining at most `retention` records for catch-up.
-    pub fn with_retention(retention: usize) -> Self {
-        Wal {
-            next_lsn: AtomicU64::new(1),
-            retention,
-            inner: Mutex::new(WalInner {
-                subscribers: Vec::new(),
-                ring: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// The retention bound (maximum records replayable on rejoin).
-    pub fn retention(&self) -> usize {
-        self.retention
-    }
-
-    /// Registers a subscriber receiving only records appended from now on.
-    ///
-    /// Equivalent to `subscribe_from(next_lsn())`, which cannot fail: the
-    /// next LSN is never truncated.
-    pub fn subscribe(&self) -> Receiver<Arc<LogRecord>> {
-        self.subscribe_from(self.next_lsn())
-            .expect("next_lsn is always retained")
-    }
-
-    /// Registers a subscriber starting at `from`: retained records with
-    /// `lsn >= from` are replayed into the channel before registration
-    /// completes, atomically with concurrent appends, so the subscriber
-    /// sees every record from `from` on, exactly once and in order.
-    ///
-    /// Fails with [`HatError::WalTruncated`] if `from` precedes the
-    /// oldest retained record — the caller's state is too stale for log
-    /// catch-up and needs a full resync.
-    pub fn subscribe_from(&self, from: Lsn) -> Result<Receiver<Arc<LogRecord>>> {
-        let (tx, rx) = unbounded();
-        let mut inner = self.inner.lock();
-        let oldest = match inner.ring.front() {
-            Some(first) => first.lsn,
-            // Empty ring: everything up to next_lsn-1 is gone (or nothing
-            // was ever appended); only a subscription at the head works.
-            None => self.next_lsn(),
-        };
-        if from < oldest {
-            return Err(HatError::WalTruncated { requested: from, oldest });
-        }
-        if let Some(first) = inner.ring.front() {
-            let skip = (from - first.lsn) as usize;
-            for record in inner.ring.iter().skip(skip) {
-                // The receiver is local; send cannot fail.
-                let _ = tx.send(Arc::clone(record));
-            }
-        }
-        inner.subscribers.push(tx);
-        Ok(rx)
-    }
-
-    /// Appends a commit record, retains it, and fans it out. Returns the
-    /// record's LSN.
-    pub fn append(&self, commit_ts: Ts, ops: Vec<TableOp>) -> Lsn {
-        let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-        let record = Arc::new(LogRecord {
-            lsn,
-            commit_ts,
-            sent_at: BenchClock::global().now(),
-            ops,
-        });
-        let mut inner = self.inner.lock();
-        if self.retention > 0 {
-            if inner.ring.len() == self.retention {
-                inner.ring.pop_front();
-            }
-            inner.ring.push_back(Arc::clone(&record));
-        }
-        // Drop subscribers whose receiving end hung up.
-        inner.subscribers.retain(|tx| tx.send(Arc::clone(&record)).is_ok());
-        lsn
-    }
-
-    /// LSN the next append will receive.
-    pub fn next_lsn(&self) -> Lsn {
-        self.next_lsn.load(Ordering::Relaxed)
-    }
-
-    /// Number of records appended so far.
-    pub fn appended(&self) -> u64 {
-        self.next_lsn() - 1
-    }
-
-    /// Oldest LSN still retained, if any records are retained.
-    pub fn oldest_retained(&self) -> Option<Lsn> {
-        self.inner.lock().ring.front().map(|r| r.lsn)
-    }
-
-    /// Disconnects every subscriber, letting receiver threads exit their
-    /// `recv` loops. Retained records survive, so a later
-    /// [`Wal::subscribe_from`] can still catch up — this is a connection
-    /// teardown, not a log reset.
-    pub fn close(&self) {
-        self.inner.lock().subscribers.clear();
-    }
-}
-
-impl Default for Wal {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hat_common::value::row_from;
-    use hat_common::Value;
-
-    fn op(v: u32) -> TableOp {
-        TableOp::Insert {
-            table: TableId::History,
-            rid: v as u64,
-            row: row_from([Value::U32(v)]),
-        }
-    }
-
-    #[test]
-    fn lsns_are_dense() {
-        let wal = Wal::new();
-        assert_eq!(wal.append(2, vec![op(1)]), 1);
-        assert_eq!(wal.append(3, vec![op(2)]), 2);
-        assert_eq!(wal.next_lsn(), 3);
-    }
-
-    #[test]
-    fn subscribers_receive_in_order() {
-        let wal = Wal::new();
-        let rx = wal.subscribe();
-        for i in 0..10u32 {
-            wal.append(i as u64 + 2, vec![op(i)]);
-        }
-        let lsns: Vec<Lsn> = (0..10).map(|_| rx.recv().unwrap().lsn).collect();
-        assert_eq!(lsns, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn multiple_subscribers_each_get_everything() {
-        let wal = Wal::new();
-        let a = wal.subscribe();
-        let b = wal.subscribe();
-        wal.append(2, vec![op(1), op(2)]);
-        assert_eq!(a.recv().unwrap().ops.len(), 2);
-        assert_eq!(b.recv().unwrap().ops.len(), 2);
-    }
-
-    #[test]
-    fn dropped_subscriber_is_pruned() {
-        let wal = Wal::new();
-        let rx = wal.subscribe();
-        drop(rx);
-        // Append must not fail or leak the dead channel.
-        wal.append(2, vec![op(1)]);
-        assert_eq!(wal.inner.lock().subscribers.len(), 0);
-    }
-
-    #[test]
-    fn records_before_subscription_are_not_replayed() {
-        let wal = Wal::new();
-        wal.append(2, vec![op(1)]);
-        let rx = wal.subscribe();
-        wal.append(3, vec![op(2)]);
-        let rec = rx.recv().unwrap();
-        assert_eq!(rec.lsn, 2);
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
-    fn subscribe_from_replays_retained_suffix() {
-        let wal = Wal::new();
-        for i in 0..10u32 {
-            wal.append(i as u64 + 2, vec![op(i)]);
-        }
-        // Rejoin as if we had applied through LSN 6.
-        let rx = wal.subscribe_from(7).unwrap();
-        wal.append(100, vec![op(99)]);
-        let lsns: Vec<Lsn> = (0..5).map(|_| rx.recv().unwrap().lsn).collect();
-        assert_eq!(lsns, vec![7, 8, 9, 10, 11], "catch-up then live tail");
-    }
-
-    #[test]
-    fn subscribe_from_head_of_empty_log() {
-        let wal = Wal::new();
-        let rx = wal.subscribe_from(1).unwrap();
-        wal.append(2, vec![op(1)]);
-        assert_eq!(rx.recv().unwrap().lsn, 1);
-    }
-
-    #[test]
-    fn truncated_lsn_is_an_explicit_error() {
-        let wal = Wal::with_retention(4);
-        for i in 0..10u32 {
-            wal.append(i as u64 + 2, vec![op(i)]);
-        }
-        // LSNs 1..=6 were evicted; oldest retained is 7.
-        assert_eq!(wal.oldest_retained(), Some(7));
-        let err = wal.subscribe_from(3).unwrap_err();
-        assert_eq!(err, HatError::WalTruncated { requested: 3, oldest: 7 });
-        assert!(!err.is_retryable(), "needs a basebackup, not a retry");
-        // The boundary LSN still works.
-        let rx = wal.subscribe_from(7).unwrap();
-        let lsns: Vec<Lsn> = (0..4).map(|_| rx.recv().unwrap().lsn).collect();
-        assert_eq!(lsns, vec![7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn subscribe_boundary_at_exact_ring_eviction_edge() {
-        // Pin the off-by-one at the eviction edge: with retention 4, each
-        // append past the 4th evicts exactly one record, so after N
-        // appends the oldest retained LSN is N-3. At every step,
-        // `oldest` must subscribe cleanly and `oldest - 1` must fail
-        // with a WalTruncated naming both sides of the edge.
-        let wal = Wal::with_retention(4);
-        for i in 0..8u32 {
-            wal.append(i as u64 + 2, vec![op(i)]);
-            let appended = i as u64 + 1;
-            let oldest = appended.saturating_sub(3).max(1);
-            assert_eq!(wal.oldest_retained(), Some(oldest));
-            // The edge itself: full retained suffix replays.
-            let rx = wal.subscribe_from(oldest).unwrap();
-            let replayed: Vec<Lsn> =
-                (oldest..=appended).map(|_| rx.recv().unwrap().lsn).collect();
-            assert_eq!(replayed, (oldest..=appended).collect::<Vec<_>>());
-            // One before the edge: evicted, explicit error (only once
-            // eviction has actually happened).
-            if oldest > 1 {
-                let err = wal.subscribe_from(oldest - 1).unwrap_err();
-                assert_eq!(
-                    err,
-                    HatError::WalTruncated { requested: oldest - 1, oldest },
-                    "after {appended} appends"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn close_preserves_retention_for_rejoin() {
-        let wal = Wal::new();
-        let rx = wal.subscribe();
-        wal.append(2, vec![op(1)]);
-        assert_eq!(rx.recv().unwrap().lsn, 1);
-        wal.close();
-        assert!(rx.recv().is_err(), "channel torn down");
-        // A rejoin from LSN 1 still replays the retained record.
-        let rx2 = wal.subscribe_from(1).unwrap();
-        assert_eq!(rx2.recv().unwrap().lsn, 1);
-    }
 }

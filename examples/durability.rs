@@ -45,7 +45,10 @@ fn main() {
 
     let modes: [(&str, DurabilityMode); 3] = [
         ("off", DurabilityMode::Off),
-        ("sleep (default)", DurabilityMode::SleepDefault),
+        (
+            "sleep (default)",
+            DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY),
+        ),
         ("fsync", DurabilityMode::Fsync(WalConfig::new(&wal_dir))),
     ];
 

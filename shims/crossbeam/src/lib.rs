@@ -1,8 +1,10 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Only the `channel` module is provided — the WAL fan-out uses unbounded
-//! MPSC channels — and it is a thin veneer over `std::sync::mpsc`, whose
-//! modern implementation is itself the crossbeam channel algorithm.
+//! Only the `channel` module is provided, as a thin veneer over
+//! `std::sync::mpsc`, whose modern implementation is itself the crossbeam
+//! channel algorithm. No workspace code uses it any more; the manifests
+//! keep the dependency only so the benchmark's frozen lock file stays
+//! valid.
 
 pub mod channel {
     use std::fmt;

@@ -2,8 +2,8 @@
 //! with a replica crash and recovery mid-run.
 //!
 //! These tests exercise the whole fault-injection stack end to end: the
-//! link fault machine and scheduled injector (`netsim`), WAL retention and
-//! `subscribe_from` rejoin (`storage`), bounded commit waits surfacing
+//! link fault machine and scheduled injector (`netsim`), the log
+//! follower's retention and restart, bounded commit waits surfacing
 //! `ReplicationTimeout` (`engine`), and the harness's backoff/retry
 //! client drivers (`bench`). The assertions are the ones that matter for
 //! correctness under faults: money conservation on the replica snapshot

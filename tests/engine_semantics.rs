@@ -138,7 +138,7 @@ fn commit_updates(engine: &dyn HtapEngine, n: usize) -> u64 {
 
 fn check_log_follower<E: Replicated>(name: &str, make: impl Fn(usize) -> E) {
     let data = common::small_data();
-    // Crashed past the retention ring: a restart needs a full resync.
+    // Crashed past the retention bound: a restart needs a full resync.
     let engine = make(4);
     data.load_into(&engine).unwrap();
     engine.crash();
