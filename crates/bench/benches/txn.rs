@@ -10,7 +10,7 @@ use hat_common::rng::HatRng;
 use hat_common::telemetry::names;
 use hat_common::TableId;
 use hat_engine::{
-    DualConfig, DualEngine, DurabilityMode, EngineConfig, HtapEngine, IsoConfig,
+    DualConfig, DualEngine, EngineConfig, HtapEngine, IsoConfig,
     IsoEngine, LearnerConfig, LearnerEngine, LearnerProfile, QueryOpts, ReplicationMode,
     ShdEngine,
 };
@@ -154,65 +154,5 @@ fn merge_threshold(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: no-wait vs wait-die locking under a payment-heavy contended
-/// mix (DESIGN.md §5).
-fn lock_policy(c: &mut Criterion) {
-    use hat_engine::LockPolicy;
-    // Tiny customer domain -> frequent conflicts.
-    let data = generate(ScaleFactor(0.0006), 0x10C);
-    let mut group = c.benchmark_group("lock_policy");
-    group.sample_size(10);
-    for policy in [LockPolicy::NoWait, LockPolicy::WaitDie] {
-        let engine = ShdEngine::new(
-            EngineConfig::builder()
-                .lock_policy(policy)
-                .durability(DurabilityMode::Off)
-                .build(),
-        );
-        data.load_into(&engine).unwrap();
-        let engine = Arc::new(engine);
-        group.bench_with_input(
-            BenchmarkId::new("contended_payments_4thr", policy.label()),
-            &policy,
-            |b, _| {
-                b.iter(|| {
-                    // 4 threads × 25 payments against ~36 customers.
-                    std::thread::scope(|scope| {
-                        for client in 0..4u32 {
-                            let engine = Arc::clone(&engine);
-                            let data = &data;
-                            scope.spawn(move || {
-                                let state = WorkloadState::new(&data.profile);
-                                let mut rng = HatRng::derive(9, client as u64);
-                                let mut txnnum = 0;
-                                for _ in 0..25 {
-                                    txnnum += 1;
-                                    loop {
-                                        match run_transaction(
-                                            engine.as_ref(),
-                                            &data.profile,
-                                            &state,
-                                            &mut rng,
-                                            TxnKind::Payment,
-                                            client,
-                                            txnnum,
-                                        ) {
-                                            Ok(_) => break,
-                                            Err(e) if e.is_retryable() => continue,
-                                            Err(e) => panic!("{e}"),
-                                        }
-                                    }
-                                }
-                            });
-                        }
-                    });
-                    black_box(engine.metrics().counter(names::TXN_ABORTS))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, txn_types, locks, merge_threshold, lock_policy);
+criterion_group!(benches, txn_types, locks, merge_threshold);
 criterion_main!(benches);

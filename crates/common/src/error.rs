@@ -82,21 +82,6 @@ pub enum HatError {
     /// recovers, but the transaction must never be blindly re-executed —
     /// that would double-apply it.
     DurabilityInDoubt,
-    /// The admission controller shed this request because the engine is
-    /// over its offered-load capacity: the per-class queue's sojourn time
-    /// exceeded the request's deadline budget (CoDel-style), the bounded
-    /// queue overflowed, or the overload circuit breaker is open. Nothing
-    /// was installed or executed — the request aborted cleanly and may be
-    /// retried *if the client still has retry budget*; synchronized
-    /// unbudgeted retries are exactly what turns a transient burst into a
-    /// metastable overload. Distinct from [`HatError::Degraded`], which is
-    /// a *storage-health* shed: the two are counted separately so an
-    /// operator can tell "traffic too high" from "disk unhappy".
-    /// Retryable.
-    Overloaded {
-        /// Request class that was shed (`"txn"` or `"query"`).
-        class: &'static str,
-    },
     /// A sealed WAL segment failed checksum verification during a scrub:
     /// the storage is not just transiently failing but has lost durable
     /// bytes. Commits stay shed until an operator restores the segment
@@ -119,7 +104,6 @@ impl HatError {
                 | HatError::ReplicaUnavailable
                 | HatError::Degraded
                 | HatError::DurabilityInDoubt
-                | HatError::Overloaded { .. }
         )
     }
 
@@ -179,12 +163,6 @@ impl fmt::Display for HatError {
                     "durability wait voided by a storage fault after install (commit in doubt)"
                 )
             }
-            HatError::Overloaded { class } => {
-                write!(
-                    f,
-                    "{class} request shed by admission control: offered load exceeds capacity"
-                )
-            }
             HatError::Quarantined { segment } => {
                 write!(
                     f,
@@ -228,9 +206,6 @@ mod tests {
             // Installed, then the durability wait was voided: like
             // ReplicationTimeout, the client must never re-execute it.
             (HatError::DurabilityInDoubt, true, true),
-            // Admission-control shed before any work ran: clean abort,
-            // retry only while the client's retry budget lasts.
-            (HatError::Overloaded { class: "txn" }, true, false),
             // Scrub-confirmed durable-byte loss: retrying cannot help.
             (HatError::Quarantined { segment: 17 }, false, false),
         ]
@@ -273,7 +248,6 @@ mod tests {
                 | HatError::ChecksumMismatch { .. }
                 | HatError::Degraded
                 | HatError::DurabilityInDoubt
-                | HatError::Overloaded { .. }
                 | HatError::Quarantined { .. } => true,
             };
             assert!(covered);
@@ -282,7 +256,7 @@ mod tests {
         let discriminants: std::collections::HashSet<std::mem::Discriminant<HatError>> =
             table.iter().map(|(e, _, _)| std::mem::discriminant(e)).collect();
         assert_eq!(discriminants.len(), table.len(), "duplicate table entries");
-        assert_eq!(discriminants.len(), 19, "table must cover all 19 variants");
+        assert_eq!(discriminants.len(), 18, "table must cover all 18 variants");
     }
 
     #[test]
@@ -303,8 +277,6 @@ mod tests {
         assert!(e.to_string().contains("degraded"));
         let e = HatError::DurabilityInDoubt;
         assert!(e.to_string().contains("in doubt"));
-        let e = HatError::Overloaded { class: "query" };
-        assert!(e.to_string().contains("query") && e.to_string().contains("admission"));
         let e = HatError::Quarantined { segment: 17 };
         assert!(e.to_string().contains("17") && e.to_string().contains("quarantined"));
     }

@@ -84,34 +84,15 @@ pub mod names {
     pub const HEALTH_DEGRADED_TICKS: &str = "health.degraded_ticks";
     /// Faults injected by a seeded `DiskFaultPlan` (chaos runs only).
     pub const DISK_FAULTS: &str = "disk.faults_injected";
-    /// Admission-control counters, per request class. `offered` counts
-    /// every request that reached the gate; `admitted` those allowed
-    /// through; `shed` those rejected with a retryable `Overloaded`
-    /// because the gate's queue sojourn exceeded the deadline budget or
-    /// the bounded queue overflowed (traffic cause); `shed_breaker`
-    /// those rejected because the overload circuit breaker was open —
-    /// storage health off `Healthy` tightens admission instead of
-    /// queueing doomed work (disk cause, distinct from
-    /// `wal.shed_commits` which sheds *inside* the commit path).
-    pub const ADMIT_TXN_OFFERED: &str = "admission.txn.offered";
-    pub const ADMIT_TXN_ADMITTED: &str = "admission.txn.admitted";
+    /// Never recorded, so it reads 0; kept only because `benchmark/`
+    /// reads it.
     pub const ADMIT_TXN_SHED: &str = "admission.txn.shed";
-    pub const ADMIT_TXN_SHED_BREAKER: &str = "admission.txn.shed_breaker";
-    pub const ADMIT_QUERY_OFFERED: &str = "admission.query.offered";
-    pub const ADMIT_QUERY_ADMITTED: &str = "admission.query.admitted";
-    pub const ADMIT_QUERY_SHED: &str = "admission.query.shed";
-    pub const ADMIT_QUERY_SHED_BREAKER: &str = "admission.query.shed_breaker";
-    /// Nanoseconds each admitted request waited at the gate before
-    /// entering the engine (per class).
-    pub const ADMIT_TXN_QUEUE_WAIT: &str = "admission.txn.queue_wait";
-    pub const ADMIT_QUERY_QUEUE_WAIT: &str = "admission.query.queue_wait";
     /// Open-loop driver accounting. `offered` is what the arrival
     /// schedule generated (the independent variable); `completed` is
     /// what finished successfully; `goodput` the subset that finished
     /// within its deadline. Sheds are split by where/why the request
-    /// died: at the harness's bounded arrival queue, at the engine's
-    /// admission gate (`Overloaded`), or by storage degradation
-    /// (`Degraded`).
+    /// died: at the harness's bounded arrival queue, at dequeue for a
+    /// stale sojourn, or by storage degradation (`Degraded`).
     pub const OPENLOOP_OFFERED: &str = "openloop.offered";
     pub const OPENLOOP_STARTED: &str = "openloop.started";
     pub const OPENLOOP_COMPLETED: &str = "openloop.completed";
@@ -122,7 +103,6 @@ pub mod names {
     /// exceeded the deadline budget (CoDel-style: never spend service
     /// time on work whose client has given up).
     pub const OPENLOOP_SHED_STALE: &str = "openloop.shed_stale";
-    pub const OPENLOOP_SHED_ENGINE: &str = "openloop.shed_engine";
     pub const OPENLOOP_SHED_DEGRADED: &str = "openloop.shed_degraded";
     /// Retries attempted vs denied by the client-side retry budget
     /// (denied retries become `gave_up`, preventing retry storms).
@@ -306,12 +286,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds.
-    #[inline]
-    pub fn record_nanos(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     pub fn count(&self) -> u64 {

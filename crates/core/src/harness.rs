@@ -348,15 +348,13 @@ pub struct TimeSeriesSample {
     /// scrubber re-admits the device.
     pub health: u64,
     /// Transactional requests shed for *storage* reasons during the tick
-    /// (`HatError::Degraded`): a degraded/quarantined WAL, a full
-    /// group-commit backlog, or the admission circuit breaker tripping on
-    /// off-Healthy health.
+    /// (`HatError::Degraded`): a degraded/quarantined WAL or a full
+    /// group-commit backlog.
     pub shed: u64,
     /// Transactional requests shed for *overload* reasons during the
-    /// tick: bounded-queue overflow, queue sojourn over the deadline
-    /// budget, or the engine's admission gate. Disjoint from `shed` by
-    /// construction, so "disk unhappy" and "traffic too high" chart
-    /// separately.
+    /// tick: bounded-queue overflow or queue sojourn over the deadline
+    /// budget. Disjoint from `shed` by construction, so "disk unhappy"
+    /// and "traffic too high" chart separately.
     pub shed_overload: u64,
     /// Transactional requests offered during the tick: the arrivals the
     /// schedule generated (open-loop runs), or the new requests the
@@ -579,8 +577,7 @@ impl OpenLoopMeasurement {
         self.total(|t| t.deadline_missed)
     }
 
-    /// Sheds for traffic reasons: queue overflow, stale sojourn, or the
-    /// engine's admission gate.
+    /// Sheds for traffic reasons: queue overflow or stale sojourn.
     pub fn shed_overload(&self) -> u64 {
         self.total(|t| t.shed_overload())
     }
@@ -771,8 +768,7 @@ impl Harness {
     /// * under [`SchedPolicy::Elastic`], at every tick boundary the
     ///   closed tick's outcome (sheds, queue depth, goodput, queries)
     ///   feeds the [`ElasticController`], whose decision moves the worker
-    ///   cap and the engine's transactional admission bounds via
-    ///   [`CoreBudget::apply`] and parks or unparks T workers.
+    ///   cap via [`CoreBudget::apply`] and parks or unparks T workers.
     ///
     /// [`SchedPolicy::Pinned`] holds its split for the whole run — the
     /// eligible static arm for elastic-vs-static comparisons.
@@ -816,7 +812,7 @@ impl Harness {
             // A cap must be able to bind: parallelism is lifted to the
             // budget so a_cores is the effective probe width.
             (t_workers, a_clients) = (c.budget.total() - 1, 1);
-            t_alloc = c.budget.apply(&*self.engine, c.decisions[0].t_cores).0;
+            t_alloc = c.budget.apply(c.decisions[0].t_cores).0;
             query_opts = query_opts.with_cap(c.budget.worker_cap().clone());
             query_opts.parallelism = query_opts.parallelism.max(c.budget.total() as usize);
         }
@@ -916,7 +912,6 @@ struct TickCells {
     enqueued: AtomicU64,
     shed_queue: AtomicU64,
     shed_stale: AtomicU64,
-    shed_engine: AtomicU64,
     shed_degraded: AtomicU64,
     started: AtomicU64,
     completed: AtomicU64,
@@ -943,7 +938,7 @@ impl TickCells {
             enqueued: load(&self.enqueued),
             shed_queue: load(&self.shed_queue),
             shed_stale: load(&self.shed_stale),
-            shed_engine: load(&self.shed_engine),
+            shed_engine: 0,
             shed_degraded: load(&self.shed_degraded),
             completed: load(&self.completed),
             goodput: load(&self.goodput),
@@ -1002,7 +997,6 @@ impl Cores {
         &mut self,
         k: usize,
         stepped: Option<SchedDecision>,
-        engine: &dyn HtapEngine,
         t_alloc: &AtomicU32,
     ) {
         let (t_cores, a_cores) = self.budget.split();
@@ -1013,7 +1007,7 @@ impl Cores {
             reason: SchedReason::Hold,
         });
         if (decision.t_cores, decision.a_cores) != (t_cores, a_cores) {
-            self.budget.apply(engine, decision.t_cores);
+            self.budget.apply(decision.t_cores);
             t_alloc.store(decision.t_cores, Ordering::Relaxed);
         }
         self.decisions.push(decision);
@@ -1176,10 +1170,6 @@ impl Run<'_> {
                         bump(&cell.deadline_missed);
                         self.retry(req, cell, &mut rng, &mut pending);
                     }
-                }
-                Err(hat_common::HatError::Overloaded { .. }) => {
-                    bump(&cell.shed_engine);
-                    self.retry(req, cell, &mut rng, &mut pending);
                 }
                 Err(hat_common::HatError::Degraded) => {
                     bump(&cell.shed_degraded);
@@ -1351,7 +1341,7 @@ impl Run<'_> {
                         a_done: self.cells[k - 1].queries.load(Ordering::Relaxed),
                     })
                 });
-                c.record(k, stepped, &*h.engine, &self.t_alloc);
+                c.record(k, stepped, &self.t_alloc);
             }
             // The generator: the only writer of first attempts to the
             // queue. It sheds at enqueue only when the bounded queue is
@@ -1424,7 +1414,7 @@ impl Run<'_> {
         metrics.set_counter(names::HARNESS_QUERIES, queries);
         metrics.set_counter(
             names::HARNESS_ABORTS,
-            sum(|t| t.aborts + t.shed_engine + t.shed_degraded),
+            sum(|t| t.aborts + t.shed_degraded),
         );
         metrics.set_counter(names::HARNESS_RETRIES, sum(|t| t.retries));
         metrics.set_counter(names::HARNESS_TIMEOUTS, in_doubt);
@@ -1443,7 +1433,6 @@ impl Run<'_> {
             metrics.set_counter(names::OPENLOOP_DEADLINE_MISSED, sum(|t| t.deadline_missed));
             metrics.set_counter(names::OPENLOOP_SHED_QUEUE, sum(|t| t.shed_queue));
             metrics.set_counter(names::OPENLOOP_SHED_STALE, sum(|t| t.shed_stale));
-            metrics.set_counter(names::OPENLOOP_SHED_ENGINE, sum(|t| t.shed_engine));
             metrics.set_counter(names::OPENLOOP_SHED_DEGRADED, sum(|t| t.shed_degraded));
             metrics.set_counter(names::OPENLOOP_RETRIES, sum(|t| t.retries));
             metrics.set_counter(names::OPENLOOP_RETRY_DENIED, sum(|t| t.retry_denied));

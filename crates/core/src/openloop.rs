@@ -203,7 +203,7 @@ pub struct OpenLoopTick {
     /// Sheds at dequeue: the request's queue sojourn already exceeded
     /// its deadline, so executing it would be doomed work.
     pub shed_stale: u64,
-    /// Sheds by the engine's admission gate (`HatError::Overloaded`).
+    /// Always 0; kept only because `benchmark/` reads it.
     pub shed_engine: u64,
     /// Sheds attributed to storage degradation (`HatError::Degraded`).
     pub shed_degraded: u64,
@@ -220,20 +220,20 @@ pub struct OpenLoopTick {
     /// Logical requests abandoned (attempts or budget exhausted, or
     /// retry re-enqueue found the queue full).
     pub gave_up: u64,
-    /// Retryable engine aborts other than overload/degradation sheds
-    /// (write conflicts, serialization failures).
+    /// Retryable engine aborts other than degradation sheds (write
+    /// conflicts, serialization failures).
     pub aborts: u64,
 }
 
 impl OpenLoopTick {
     /// All sheds of this tick, regardless of cause.
     pub fn shed_total(&self) -> u64 {
-        self.shed_queue + self.shed_stale + self.shed_engine + self.shed_degraded
+        self.shed_queue + self.shed_stale + self.shed_degraded
     }
 
     /// Overload-cause sheds (traffic, not storage).
     pub fn shed_overload(&self) -> u64 {
-        self.shed_queue + self.shed_stale + self.shed_engine
+        self.shed_queue + self.shed_stale
     }
 }
 

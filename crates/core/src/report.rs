@@ -252,16 +252,12 @@ pub fn durability_line(m: &MetricsSnapshot) -> Option<String> {
 pub fn degradation_line(m: &MetricsSnapshot) -> Option<String> {
     let faults = m.counter(names::DISK_FAULTS);
     let shed = m.counter(names::WAL_SHED_COMMITS);
-    let breaker = m.counter(names::ADMIT_TXN_SHED_BREAKER)
-        + m.counter(names::ADMIT_QUERY_SHED_BREAKER);
-    let overload = m.counter(names::ADMIT_TXN_SHED) + m.counter(names::ADMIT_QUERY_SHED);
     let degraded_ticks = m.counter(names::HEALTH_DEGRADED_TICKS);
     let scrub_passes = m.counter(names::WAL_SCRUB_PASSES);
     let quarantined = m.counter(names::WAL_QUARANTINED);
     let health = m.gauge(names::HEALTH_STATE);
     if faults == 0
         && shed == 0
-        && breaker == 0
         && degraded_ticks == 0
         && quarantined == 0
         && health == 0
@@ -273,23 +269,12 @@ pub fn degradation_line(m: &MetricsSnapshot) -> Option<String> {
         1 => "degraded",
         _ => "recovering",
     };
-    // Sheds split by cause: `wal.shed_commits` is the storage layer
-    // refusing work on a sick device, the breaker is admission refusing
-    // work *because* of that sickness; pure-overload sheds are a traffic
-    // phenomenon and only get a cross-reference here so the causes are
-    // never conflated.
     let mut line = format!(
-        "  degradation: {faults} disk faults, {shed} commits shed (storage) \
-         + {breaker} at the breaker, {degraded_ticks} degraded ticks, \
-         {scrub_passes} scrub passes, ended {state}"
+        "  degradation: {faults} disk faults, {shed} commits shed (storage), \
+         {degraded_ticks} degraded ticks, {scrub_passes} scrub passes, ended {state}"
     );
     if quarantined > 0 {
         line.push_str(&format!(", {quarantined} segments quarantined"));
-    }
-    if overload > 0 {
-        line.push_str(&format!(
-            " ({overload} further sheds were overload, not storage)"
-        ));
     }
     Some(line)
 }
@@ -312,7 +297,6 @@ pub fn overload_line(m: &MetricsSnapshot) -> Option<String> {
     let missed = m.counter(names::OPENLOOP_DEADLINE_MISSED);
     let shed_queue = m.counter(names::OPENLOOP_SHED_QUEUE);
     let shed_stale = m.counter(names::OPENLOOP_SHED_STALE);
-    let shed_engine = m.counter(names::OPENLOOP_SHED_ENGINE);
     let shed_degraded = m.counter(names::OPENLOOP_SHED_DEGRADED);
     let retries = m.counter(names::OPENLOOP_RETRIES);
     let denied = m.counter(names::OPENLOOP_RETRY_DENIED);
@@ -320,8 +304,7 @@ pub fn overload_line(m: &MetricsSnapshot) -> Option<String> {
     let pct = 100.0 * goodput as f64 / offered as f64;
     let mut line = format!(
         "  overload: offered {offered}, goodput {goodput} ({pct:.1}%), {missed} late, \
-         shed {}/{}/{} overload (queue/stale/gate)",
-        shed_queue, shed_stale, shed_engine
+         shed {shed_queue}/{shed_stale} overload (queue/stale)"
     );
     if shed_degraded > 0 {
         line.push_str(&format!(" + {shed_degraded} degraded"));
@@ -551,12 +534,10 @@ mod tests {
         let line = degradation_line(&hurt).unwrap();
         assert!(line.contains("6 disk faults"));
         assert!(line.contains("11 commits shed (storage)"));
-        assert!(line.contains("+ 0 at the breaker"));
         assert!(line.contains("4 degraded ticks"));
         assert!(line.contains("2 scrub passes"));
         assert!(line.contains("ended healthy"));
         assert!(!line.contains("quarantined"), "quarantine elided when zero");
-        assert!(!line.contains("overload"), "no overload cross-ref when zero");
         hurt.set_counter(names::WAL_QUARANTINED, 1);
         hurt.set_gauge(names::HEALTH_STATE, 1);
         let line = degradation_line(&hurt).unwrap();
@@ -569,26 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_line_splits_shed_causes() {
-        // Breaker sheds alone are enough to report (the disk made
-        // admission refuse work), and overload-admission sheds are
-        // called out as a separate cause, never folded into storage.
-        let mut m = MetricsSnapshot::new();
-        m.set_counter(names::ADMIT_TXN_SHED_BREAKER, 7);
-        m.set_counter(names::ADMIT_QUERY_SHED_BREAKER, 2);
-        m.set_counter(names::ADMIT_TXN_SHED, 30);
-        m.set_counter(names::ADMIT_QUERY_SHED, 10);
-        let line = degradation_line(&m).unwrap();
-        assert!(line.contains("0 commits shed (storage) + 9 at the breaker"));
-        assert!(line.contains("40 further sheds were overload, not storage"));
-        // Pure-overload sheds with a healthy disk stay out of the
-        // degradation report entirely.
-        let mut traffic = MetricsSnapshot::new();
-        traffic.set_counter(names::ADMIT_TXN_SHED, 500);
-        assert!(degradation_line(&traffic).is_none());
-    }
-
-    #[test]
     fn overload_line_elides_closed_loop_and_reports_goodput() {
         let closed = MetricsSnapshot::new();
         assert!(overload_line(&closed).is_none(), "closed-loop runs stay silent");
@@ -598,7 +559,6 @@ mod tests {
         m.set_counter(names::OPENLOOP_DEADLINE_MISSED, 20);
         m.set_counter(names::OPENLOOP_SHED_QUEUE, 5);
         m.set_counter(names::OPENLOOP_SHED_STALE, 40);
-        m.set_counter(names::OPENLOOP_SHED_ENGINE, 15);
         m.set_counter(names::OPENLOOP_RETRIES, 33);
         m.set_counter(names::OPENLOOP_RETRY_DENIED, 8);
         m.set_counter(names::OPENLOOP_GAVE_UP, 12);
@@ -606,7 +566,7 @@ mod tests {
         assert!(line.contains("offered 1000"));
         assert!(line.contains("goodput 900 (90.0%)"));
         assert!(line.contains("20 late"));
-        assert!(line.contains("shed 5/40/15 overload (queue/stale/gate)"));
+        assert!(line.contains("shed 5/40 overload (queue/stale)"));
         assert!(!line.contains("degraded"), "degraded sheds elided when zero");
         assert!(line.contains("retries 33 (8 budget-denied)"));
         assert!(line.contains("12 gave up"));

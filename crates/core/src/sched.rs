@@ -9,11 +9,11 @@
 //! between engines at fine granularity dominates any static split. This
 //! module is the *policy* half of that idea: a seeded, deterministic
 //! controller that reads one [`SchedSignal`] per tick and emits one
-//! [`SchedDecision`] per tick. The *mechanism* half —
-//! [`CoreBudget`](hat_engine::CoreBudget) resizing the admission gates
-//! and the analytical worker cap — lives in hat-engine, and the glue
-//! that parks/unparks harness workers lives in
-//! [`Harness::run_open_loop_sched`](crate::harness::Harness::run_open_loop_sched).
+//! [`SchedDecision`] per tick. The *mechanism* half has two levers: on
+//! the analytical side, [`CoreBudget`](hat_engine::CoreBudget) resizes
+//! the worker cap that query probes obey; on the transactional side,
+//! [`Harness::run_open_loop_sched`](crate::harness::Harness::run_open_loop_sched)
+//! parks or unparks its commit workers. The engine has no T-side lever.
 //!
 //! # Control law
 //!
@@ -61,9 +61,9 @@ pub struct SchedSignal {
     pub offered: u64,
     /// In-deadline transactional completions in the tick.
     pub goodput: u64,
-    /// Overload-cause sheds in the tick (queue overflow, stale sojourn,
-    /// admission gate). The strongest pressure signal: shedding means T
-    /// is already failing its side of the target.
+    /// Overload-cause sheds in the tick (queue overflow, stale sojourn).
+    /// The strongest pressure signal: shedding means T is already
+    /// failing its side of the target.
     pub shed: u64,
     /// Arrival-queue depth at the tick boundary (requests waiting for a
     /// T worker). The leading pressure signal: the queue grows before

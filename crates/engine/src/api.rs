@@ -11,9 +11,8 @@ use hat_common::{ColId, Result, Row, TableId};
 use hat_query::exec::{QueryOpts, QueryOutput};
 use hat_query::spec::QuerySpec;
 use hat_storage::rowstore::RowId;
-use hat_txn::{IsolationLevel, LockPolicy, Ts};
+use hat_txn::{IsolationLevel, Ts};
 
-pub use crate::admission::AdmissionConfig;
 pub use crate::durability::DurabilityMode;
 
 /// Which B+tree indexes exist — the paper's "physical schemas" experiment
@@ -71,8 +70,6 @@ pub struct EngineConfig {
     /// round over every touched shard. `1` (the default) reproduces the
     /// single-oracle kernel exactly.
     pub shards: u32,
-    /// Write-lock conflict policy (no-wait vs wait-die ablation).
-    pub lock_policy: LockPolicy,
     /// How commits become durable, paid after installation outside the
     /// commit critical section. Real engines pay this on every commit; it
     /// is also what makes the transactional workload scale with clients
@@ -85,13 +82,6 @@ pub struct EngineConfig {
     /// entirely — version chains then grow for the life of the run, which
     /// is the pre-vacuum behavior and still useful as an ablation.
     pub vacuum_interval: Option<std::time::Duration>,
-    /// Per-class overload admission gates in front of commit and query
-    /// execution. Disabled by default (unbounded admission), which is
-    /// correct for closed-loop runs: their client count already bounds
-    /// concurrency. Open-loop runs enable it so offered load beyond
-    /// capacity is shed at the front door instead of collapsing the
-    /// engine.
-    pub admission: AdmissionConfig,
 }
 
 impl EngineConfig {
@@ -144,12 +134,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Write-lock conflict policy.
-    pub fn lock_policy(mut self, lock_policy: LockPolicy) -> Self {
-        self.config.lock_policy = lock_policy;
-        self
-    }
-
     /// Commit durability mode.
     pub fn durability(mut self, durability: DurabilityMode) -> Self {
         self.config.durability = durability;
@@ -169,12 +153,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Overload admission gates (disabled by default).
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.config.admission = admission;
-        self
-    }
-
     /// Finalizes the config.
     pub fn build(self) -> EngineConfig {
         self.config
@@ -187,10 +165,8 @@ impl Default for EngineConfig {
             isolation: IsolationLevel::Serializable,
             indexes: IndexProfile::All,
             shards: 1,
-            lock_policy: LockPolicy::NoWait,
             durability: DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY),
             vacuum_interval: Some(EngineConfig::DEFAULT_VACUUM_INTERVAL),
-            admission: AdmissionConfig::default(),
         }
     }
 }
@@ -379,13 +355,8 @@ pub trait HtapEngine: Send + Sync {
     /// time-series sampling.
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Elastic-scheduling hook: resize the engine's transactional
-    /// admission bounds to reflect `t_cores` of a `total`-core budget
-    /// (see [`CoreBudget`](crate::budget::CoreBudget)). Engines scale
-    /// their configured commit in-flight bounds proportionally; the
-    /// default is a no-op so engines without a resizable admission gate
-    /// simply ignore T-side elastic decisions. Never evicts in-flight
-    /// work — a narrower bound drains, it does not preempt.
+    /// A no-op kept only because the tracing wrapper in `benchmark/`
+    /// overrides it.
     fn set_txn_cores(&self, t_cores: u32, total: u32) {
         let _ = (t_cores, total);
     }
@@ -414,11 +385,7 @@ mod tests {
         // the SSD-class latency) so throughput numbers stay honest.
         assert!(!c.durability.is_off());
         assert_eq!(c.durability, DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY));
-        assert_eq!(c.lock_policy, LockPolicy::NoWait);
         assert_eq!(c.shards, 1, "single-shard kernel is the baseline");
-        // Admission control is off by default: closed-loop runs bound
-        // concurrency by client count already.
-        assert!(!c.admission.is_enabled());
         assert_eq!(c.without_durability().durability, DurabilityMode::Off);
     }
 
@@ -428,7 +395,6 @@ mod tests {
         let d = EngineConfig::default();
         assert_eq!(c.isolation, d.isolation);
         assert_eq!(c.indexes, d.indexes);
-        assert_eq!(c.lock_policy, d.lock_policy);
         assert_eq!(c.durability, d.durability);
         assert_eq!(c.vacuum_interval, d.vacuum_interval);
         assert_eq!(
@@ -440,21 +406,14 @@ mod tests {
         let c = EngineConfig::builder()
             .isolation(IsolationLevel::ReadCommitted)
             .indexes(IndexProfile::Semi)
-            .lock_policy(LockPolicy::WaitDie)
             .durability(DurabilityMode::Off)
             .vacuum_interval(std::time::Duration::from_millis(3))
             .build();
         assert_eq!(c.isolation, IsolationLevel::ReadCommitted);
         assert_eq!(c.indexes, IndexProfile::Semi);
-        assert_eq!(c.lock_policy, LockPolicy::WaitDie);
         assert!(c.durability.is_off());
         assert_eq!(c.vacuum_interval, Some(std::time::Duration::from_millis(3)));
         assert_eq!(EngineConfig::builder().no_vacuum().build().vacuum_interval, None);
-
-        let c = EngineConfig::builder().admission(AdmissionConfig::bounded(8, 2)).build();
-        assert!(c.admission.is_enabled());
-        assert_eq!(c.admission.txn_slots, Some(8));
-        assert_eq!(c.admission.query_slots, Some(2));
 
         let c = EngineConfig::builder().shards(4).build();
         assert_eq!(c.shards, 4);

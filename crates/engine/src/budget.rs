@@ -1,5 +1,5 @@
-//! The elastic core budget: one knob that resizes both worker
-//! populations at runtime.
+//! The elastic core budget: one split of a fixed core count between the
+//! transactional and analytical worker populations, resizable at runtime.
 //!
 //! The paper's frontier is measured with a *static* split of cores
 //! between the transactional and analytical side. "Adaptive HTAP through
@@ -9,20 +9,17 @@
 //! move — lives in `hat-core::sched`, which stays engine-agnostic).
 //!
 //! A budget of `total` cores is split `t_cores + a_cores = total`.
-//! Applying a split moves both levers atomically from the caller's point
-//! of view:
+//! Applying a split moves the analytical lever here and publishes the
+//! transactional share for the harness:
 //!
 //! - **Analytical side**: a shared [`WorkerCap`] gauge. Query drivers
 //!   clone it into their [`QueryOpts`](crate::QueryOpts) once; every
 //!   subsequent `ExecContext::run` clamps its probe-worker pool to the
 //!   gauge's current value, so a narrowed cap applies from the next
 //!   query without replumbing options through callers.
-//! - **Transactional side**: [`HtapEngine::set_txn_cores`] scales the
-//!   engine's admission `ClassGate` in-flight bounds proportionally
-//!   (per shard, ceil, ≥ 1), so commit concurrency drains to the new
-//!   bound instead of being preempted mid-commit. Harness-level commit
-//!   workers additionally park/unpark on the same split (see
-//!   `Harness::run_open_loop`).
+//! - **Transactional side**: the harness parks or unparks its commit
+//!   workers to match `t_cores` (see `Harness::run_open_loop`); the
+//!   engine itself has no T-side lever.
 //!
 //! Neither lever evicts in-flight work: a split change is a *bound*
 //! change, taking effect as requests complete — which is what keeps
@@ -31,7 +28,6 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::api::HtapEngine;
 use hat_query::exec::WorkerCap;
 
 /// A fixed budget of cores elastically split between the transactional
@@ -82,18 +78,17 @@ impl CoreBudget {
         &self.cap
     }
 
-    /// Applies a new split to this budget *and* to `engine`'s admission
-    /// bounds. `t_cores` is clamped to `1..total` and `a_cores` is
+    /// Applies a new split and moves the analytical worker cap to match.
+    /// `t_cores` is clamped to `1..total` and `a_cores` is
     /// derived as the remainder, so both populations always keep at
     /// least one core (an empty side cannot drain its queue and the
     /// controller could never observe it recover).
-    pub fn apply(&self, engine: &dyn HtapEngine, t_cores: u32) -> (u32, u32) {
+    pub fn apply(&self, t_cores: u32) -> (u32, u32) {
         let t = t_cores.clamp(1, self.total - 1);
         let a = self.total - t;
         self.t_cores.store(t, Ordering::Relaxed);
         self.a_cores.store(a, Ordering::Relaxed);
         self.cap.set(a as usize);
-        engine.set_txn_cores(t, self.total);
         (t, a)
     }
 }
@@ -116,15 +111,12 @@ mod tests {
 
     #[test]
     fn apply_clamps_and_moves_the_worker_cap() {
-        use crate::api::EngineConfig;
-        use crate::shared::ShdEngine;
-        let engine = ShdEngine::new(EngineConfig::default());
         let b = CoreBudget::new(4);
-        assert_eq!(b.apply(&engine, 3), (3, 1));
+        assert_eq!(b.apply(3), (3, 1));
         assert_eq!(b.worker_cap().get(), Some(1));
         // t is clamped into 1..total so analytics never starves to zero.
-        assert_eq!(b.apply(&engine, 99), (3, 1));
-        assert_eq!(b.apply(&engine, 0), (1, 3));
+        assert_eq!(b.apply(99), (3, 1));
+        assert_eq!(b.apply(0), (1, 3));
         assert_eq!(b.worker_cap().get(), Some(3));
         assert_eq!(b.split(), (1, 3));
     }

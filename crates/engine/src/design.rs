@@ -3,7 +3,7 @@
 //!
 //! The paper's design categories (§2.2) differ in what an analytical
 //! snapshot is and where freshness lag comes from. Everything else —
-//! sessions, load, reset, metrics, admission, the query pipeline and the
+//! sessions, load, reset, metrics, the query pipeline and the
 //! background threads — is the same for every design, so [`Engine<D>`]
 //! writes it once and a [`Design`] supplies only what defines its
 //! category.
@@ -114,10 +114,6 @@ impl<D: Design> HtapEngine for Engine<D> {
         D::CATEGORY
     }
 
-    fn set_txn_cores(&self, t_cores: u32, total: u32) {
-        self.kernel.set_txn_core_fraction(t_cores, total);
-    }
-
     fn load(&self, table: TableId, rows: &mut dyn Iterator<Item = Row>) -> Result<()> {
         let mut tee = rows.inspect(|row| self.design.load_row(table, row));
         self.kernel.load(table, &mut tee)
@@ -142,10 +138,6 @@ impl<D: Design> HtapEngine for Engine<D> {
     }
 
     fn query(&self, spec: &QuerySpec, opts: &QueryOpts) -> Result<QueryOutput> {
-        // A-class overload gate: a no-op unless admission is enabled, a
-        // bounded sojourn-deadline-shed queue when it is. Shed queries
-        // never execute and are not counted as executed.
-        let _admit = self.kernel.admission.admit_query()?;
         self.kernel.stats.queries.inc();
         let span = SpanTimer::start();
         let snapshot = self.design.snapshot(&self.kernel)?;

@@ -26,17 +26,15 @@ use hat_storage::rowstore::{PruneStats, RowDb, RowId, RowStore};
 use hat_storage::wal::TableOp;
 use hat_txn::locks::OwnerId;
 use hat_txn::{
-    InstallSequencer, LockKey, LockManager, LockPolicy, ShardRouter, ShardedOracle,
+    InstallSequencer, LockKey, LockManager, ShardRouter, ShardedOracle,
     SnapshotGuard, SnapshotRegistry, Ts, TxnCtx, WriteOp, LOAD_TS,
 };
 use parking_lot::RwLock;
 
-use crate::admission::AdmissionController;
 use crate::api::{
     CommitReceipt, EngineConfig, InDoubtCause, IndexProfile, NamedIndex, Session,
 };
 use crate::durability::ShardedDurability;
-use hat_storage::dwal::HealthState;
 
 /// Hooks an engine attaches to the kernel's commit path.
 pub trait CommitHooks: Send + Sync {
@@ -88,10 +86,10 @@ pub struct ShardedLocks {
 }
 
 impl ShardedLocks {
-    fn new(policy: LockPolicy, shards: u32) -> Self {
+    fn new(shards: u32) -> Self {
         ShardedLocks {
             router: ShardRouter::new(shards),
-            stripes: (0..shards.max(1)).map(|_| LockManager::with_policy(policy)).collect(),
+            stripes: (0..shards.max(1)).map(|_| LockManager::new()).collect(),
         }
     }
 
@@ -435,14 +433,6 @@ pub struct RowKernel {
     /// [`ShardedDurability::wal`] (shard 0, the checkpoint-bearing
     /// stream) for checkpoints, crash injection, and counters.
     pub durability: ShardedDurability,
-    /// Per-class overload gate in front of query execution (A) and — at
-    /// `shards = 1` — commit (T). Its counters are registered in
-    /// `stats.registry` so they flow through [`RowKernel::metrics`].
-    pub admission: Arc<AdmissionController>,
-    /// Per-shard commit gates: a commit admits on its *coordinator*
-    /// shard's gate, so overload on one shard back-pressures only the
-    /// traffic routed there. At `shards = 1` this is `admission` itself.
-    txn_gates: Vec<Arc<AdmissionController>>,
     /// Per-shard commit counters (`txn.shard{N}.*`).
     shard_counters: Vec<ShardCounters>,
     /// Active snapshots against this kernel's row store: every session
@@ -490,21 +480,6 @@ impl RowKernel {
         let shards = config.shards.max(1);
         let (durability, recoveries) = ShardedDurability::open(&config.durability, shards)?;
         let stats = KernelStats::default();
-        let admission = Arc::new(AdmissionController::new(&config.admission, &stats.registry));
-        let txn_gates: Vec<Arc<AdmissionController>> = if shards == 1 {
-            vec![Arc::clone(&admission)]
-        } else {
-            // Divide the commit slots across shards (ceil, at least 1);
-            // the gates share the registry, so their counters aggregate.
-            let per_shard = config.admission.txn_slots.map(|n| n.div_ceil(shards).max(1));
-            (0..shards)
-                .map(|_| {
-                    let mut gate_config = config.admission.clone();
-                    gate_config.txn_slots = per_shard;
-                    Arc::new(AdmissionController::new(&gate_config, &stats.registry))
-                })
-                .collect()
-        };
         let shard_counters = (0..shards)
             .map(|s| ShardCounters {
                 commits: stats.registry.counter(&format!("txn.shard{s}.commits")),
@@ -517,13 +492,11 @@ impl RowKernel {
             db: RowDb::new(),
             oracle: ShardedOracle::new(shards),
             router: ShardRouter::new(shards),
-            locks: ShardedLocks::new(config.lock_policy, shards),
+            locks: ShardedLocks::new(shards),
             indexes: IndexSet::new(config.indexes),
             config,
             stats,
             durability,
-            admission,
-            txn_gates,
             shard_counters,
             snapshots: Arc::new(SnapshotRegistry::new()),
             last_checkpoint_ts: AtomicU64::new(0),
@@ -545,28 +518,6 @@ impl RowKernel {
     /// shard-local write sets).
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    /// Live-resizes the transactional admission bounds to reflect an
-    /// elastic core split: `t_cores` of a `total`-core budget. The
-    /// configured `txn_slots` scale proportionally (ceil), then divide
-    /// across the per-shard commit gates exactly as at construction
-    /// (ceil, at least 1 per shard — a shard with zero slots could never
-    /// drain its queue). Disabled admission stays disabled: with no
-    /// configured bound there is nothing to narrow, and the harness's
-    /// worker parking is the only T-side lever.
-    pub fn set_txn_core_fraction(&self, t_cores: u32, total: u32) {
-        let Some(base) = self.config.admission.txn_slots else {
-            return;
-        };
-        let total = u64::from(total.max(1));
-        let t = u64::from(t_cores).min(total);
-        let scaled = ((u64::from(base) * t).div_ceil(total) as u32).max(1);
-        let shards = self.txn_gates.len().max(1) as u32;
-        let per_shard = scaled.div_ceil(shards).max(1);
-        for gate in &self.txn_gates {
-            gate.set_txn_slots(Some(per_shard));
-        }
     }
 
     /// The sorted, deduplicated commit-shard set of a write set: updates
@@ -752,16 +703,6 @@ impl RowKernel {
         // Only now is the image durable; release the vacuum clamp up to it.
         self.last_checkpoint_ts.store(ts, Ordering::Release);
         Ok(())
-    }
-
-    /// Replaces the hooks (engines call this once during construction,
-    /// before any traffic). Re-derives the install sequencer from the new
-    /// hooks' ordering demand.
-    pub fn set_hooks(&mut self, hooks: Arc<dyn CommitHooks>) {
-        self.sequencer = hooks
-            .ordered_install()
-            .then(|| InstallSequencer::new(self.oracle.read_ts() + 1));
-        self.hooks = hooks;
     }
 
     /// Bulk-loads rows at the load timestamp, building indexes.
@@ -1126,24 +1067,11 @@ impl Session for KernelSession {
         }
 
         // Route the write set: the sorted participant shard list, whose
-        // lowest member coordinates (its gate, its group-commit queue,
-        // its WAL stream). A shard-local write set never leaves its home
-        // shard's structures.
+        // lowest member coordinates (its group-commit queue, its WAL
+        // stream). A shard-local write set never leaves its home shard's
+        // structures.
         let participants = kernel.participants(self.ctx.writes());
         let coordinator = participants[0];
-
-        // Overload admission at the front door: when the T gate is
-        // enabled and the coordinator shard is at its in-flight bound,
-        // the commit queues here (bounded, sojourn-deadline-shed) before
-        // any engine-side work runs. Off-Healthy storage trips the gate's
-        // circuit breaker instead of queueing doomed work. Nothing is
-        // installed yet: a shed is a clean, retryable abort.
-        let _admit = match kernel.txn_gates[coordinator]
-            .admit_txn(kernel.durability.health() == HealthState::Healthy)
-        {
-            Ok(permit) => permit,
-            Err(e) => return Err(self.abort_with(e)),
-        };
 
         // Engine-specific pre-commit latency (consensus rounds). Nothing
         // is installed yet, so a failure here is a clean, retryable abort.

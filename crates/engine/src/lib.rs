@@ -19,7 +19,7 @@
 //!
 //! All five are one type, [`Engine<D>`](Engine), which implements
 //! [`api::HtapEngine`] once over the shared [`kernel::RowKernel`]: load,
-//! sessions, admission, the query pipeline, reset, metrics and the
+//! sessions, the query pipeline, reset, metrics and the
 //! background threads. A design supplies only what defines its category —
 //! what an analytical snapshot is and where its freshness lag comes from.
 //! The isolated standby and the columnar learner share one log follower.
@@ -46,7 +46,6 @@
 //! assert_eq!(engine.metrics().counter(names::TXN_COMMITS), 1);
 //! ```
 
-pub mod admission;
 pub mod analytics;
 pub mod api;
 pub mod budget;
@@ -60,7 +59,6 @@ pub mod kernel;
 pub mod netsim;
 pub mod shared;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmitPermit};
 pub use api::{
     CommitDurability, CommitReceipt, DesignCategory, DurabilityMode, EngineConfig,
     EngineConfigBuilder, HtapEngine, InDoubtCause, IndexProfile, NamedIndex,
@@ -80,4 +78,3 @@ pub use netsim::{
     FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, FaultWindow, NetworkLink,
 };
 pub use shared::ShdEngine;
-pub use hat_txn::LockPolicy;

@@ -32,7 +32,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hat_common::Money;
 
 use crate::batch::{filter_batch, BatchReader, KernelCache};
 use crate::hint::ScanPruner;
@@ -559,12 +558,6 @@ fn payload_val(row: &RowRef<'_>, table: hat_common::TableId, col: usize) -> Grou
         ColumnType::Str => GroupVal::Str(row.arc_str(col)),
         other => panic!("unsupported payload column type {other:?}"),
     }
-}
-
-/// Convenience: the sum a money aggregate would produce over `values`.
-/// Used by tests to compute expected results.
-pub fn sum_cents(values: impl IntoIterator<Item = Money>) -> i64 {
-    values.into_iter().map(|m| m.cents()).sum()
 }
 
 #[cfg(test)]

@@ -459,12 +459,6 @@ impl Segment {
         self.tss.len()
     }
 
-    /// Commit timestamp of row `idx`.
-    #[inline]
-    pub fn ts_at(&self, idx: usize) -> Ts {
-        self.tss[idx]
-    }
-
     /// Highest commit timestamp in the segment.
     pub fn max_ts(&self) -> Ts {
         self.tss.last().copied().unwrap_or(0)

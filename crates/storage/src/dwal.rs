@@ -1945,12 +1945,35 @@ mod tests {
     use super::*;
     use hat_common::value::row_from;
 
-    fn test_dir(tag: &str) -> PathBuf {
+    /// A fresh per-test WAL directory, removed when the guard drops
+    /// (declared first, it outlives the WALs opened on it).
+    struct TestDir(PathBuf);
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TestDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn test_dir(tag: &str) -> TestDir {
         let dir = std::env::temp_dir()
             .join(format!("hat-dwal-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TestDir(dir)
     }
 
     fn cfg(dir: &Path) -> WalConfig {

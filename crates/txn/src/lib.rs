@@ -23,7 +23,7 @@ pub mod snapshot;
 pub mod watermark;
 pub mod txn;
 
-pub use locks::{LockKey, LockManager, LockPolicy};
+pub use locks::{LockKey, LockManager};
 pub use oracle::{CommitGuard, Ts, TsOracle, LOAD_TS};
 pub use shard::{InstallSequencer, ShardCommitGuard, ShardRouter, ShardedOracle};
 pub use registry::{SnapshotGuard, SnapshotRegistry};

@@ -1,100 +1,45 @@
-//! Sharded per-row write locks with pluggable conflict policies.
+//! Sharded per-row write locks under a no-wait conflict policy.
 //!
-//! Writers lock each row before buffering an update. Two deadlock-free
-//! policies are provided:
-//!
-//! * [`LockPolicy::NoWait`] (default) — a conflicting acquisition aborts
-//!   immediately (first-updater-wins); the HATtrick client driver retries
-//!   with fresh inputs. Contention shows up as aborts, the signal the
-//!   small-scale-factor experiments in the paper rely on (§6.2).
-//! * [`LockPolicy::WaitDie`] — an *older* transaction (smaller id) waits
-//!   for the holder; a *younger* one dies. Contention shows up as waiting
-//!   time instead of aborts, matching the paper's description of
-//!   lock-based systems ("due to locking leads to increased waiting
-//!   times"). The locking-policy ablation bench compares the two.
+//! Writers lock each row before buffering an update. A conflicting
+//! acquisition aborts immediately (first-updater-wins), which is
+//! deadlock-free by construction; the HATtrick client driver retries with
+//! fresh inputs. Contention shows up as aborts, the signal the
+//! small-scale-factor experiments in the paper rely on (§6.2).
 //!
 //! The table is sharded to keep lock acquisition cheap under concurrency.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use hat_common::{HatError, Result, TableId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Identifies a lockable row: `(table, row id)`.
 pub type LockKey = (TableId, u64);
 
-/// Transaction identifier used as lock owner. Ids are allocated
-/// monotonically, so a smaller id means an older transaction.
+/// Transaction identifier used as lock owner.
 pub type OwnerId = u64;
 
 const SHARD_COUNT: usize = 64;
 
-/// How a conflicting lock acquisition behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockPolicy {
-    /// Abort the requester immediately.
-    #[default]
-    NoWait,
-    /// Older requesters wait for the holder; younger requesters abort.
-    WaitDie,
-}
-
-impl LockPolicy {
-    /// Label used in reports and ablation benches.
-    pub fn label(self) -> &'static str {
-        match self {
-            LockPolicy::NoWait => "no-wait",
-            LockPolicy::WaitDie => "wait-die",
-        }
-    }
-}
-
-/// Upper bound on a wait-die wait, as a deadlock/livelock backstop. A wait
-/// this long under the HATtrick workload means the holder's client died;
-/// the waiter aborts retryably.
-const WAIT_DIE_TIMEOUT: Duration = Duration::from_millis(500);
-
-struct Shard {
-    held: Mutex<HashMap<LockKey, OwnerId>>,
-    released: Condvar,
-}
-
 /// A sharded row-lock table.
 pub struct LockManager {
-    shards: Vec<Shard>,
-    policy: LockPolicy,
+    shards: Vec<Mutex<HashMap<LockKey, OwnerId>>>,
 }
 
 impl std::fmt::Debug for LockManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LockManager").field("policy", &self.policy).finish()
+        f.debug_struct("LockManager").finish_non_exhaustive()
     }
 }
 
 impl LockManager {
-    /// Creates an empty no-wait lock table.
+    /// Creates an empty lock table.
     pub fn new() -> Self {
-        Self::with_policy(LockPolicy::NoWait)
-    }
-
-    /// Creates an empty lock table with the given policy.
-    pub fn with_policy(policy: LockPolicy) -> Self {
-        LockManager {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Shard { held: Mutex::new(HashMap::new()), released: Condvar::new() })
-                .collect(),
-            policy,
-        }
-    }
-
-    /// The active conflict policy.
-    pub fn policy(&self) -> LockPolicy {
-        self.policy
+        LockManager { shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect() }
     }
 
     #[inline]
-    fn shard(&self, key: &LockKey) -> &Shard {
+    fn shard(&self, key: &LockKey) -> &Mutex<HashMap<LockKey, OwnerId>> {
         // Cheap multiplicative hash over (table, rid).
         let h = (key.0.index() as u64)
             .wrapping_mul(0x9E3779B97F4A7C15)
@@ -105,56 +50,25 @@ impl LockManager {
 
     /// Attempts to acquire a write lock on `key` for `owner`.
     ///
-    /// Re-acquisition by the same owner succeeds (and is idempotent). On
-    /// conflict the policy decides: `NoWait` returns
-    /// [`HatError::WriteConflict`]; `WaitDie` blocks if `owner` is older
-    /// than the holder (then acquires) and aborts if younger.
+    /// Re-acquisition by the same owner succeeds (and is idempotent). A
+    /// lock held by another owner returns [`HatError::WriteConflict`].
     pub fn try_lock(&self, key: LockKey, owner: OwnerId) -> Result<()> {
-        let shard = self.shard(&key);
-        let mut held = shard.held.lock();
-        loop {
-            match held.get(&key) {
-                None => {
-                    held.insert(key, owner);
-                    return Ok(());
-                }
-                Some(&holder) if holder == owner => return Ok(()),
-                Some(&holder) => match self.policy {
-                    LockPolicy::NoWait => {
-                        return Err(HatError::WriteConflict { table: key.0.name() })
-                    }
-                    LockPolicy::WaitDie => {
-                        if owner < holder {
-                            // Older waits. Deadlock-free: waits only ever
-                            // point from older to younger, and the younger
-                            // side never waits.
-                            let timed_out = shard
-                                .released
-                                .wait_for(&mut held, WAIT_DIE_TIMEOUT)
-                                .timed_out();
-                            if timed_out && held.get(&key).is_some_and(|h| *h != owner) {
-                                return Err(HatError::WriteConflict {
-                                    table: key.0.name(),
-                                });
-                            }
-                            // Re-check the slot and loop.
-                        } else {
-                            // Younger dies.
-                            return Err(HatError::WriteConflict { table: key.0.name() });
-                        }
-                    }
-                },
+        let mut held = self.shard(&key).lock();
+        match held.get(&key) {
+            None => {
+                held.insert(key, owner);
+                Ok(())
             }
+            Some(&holder) if holder == owner => Ok(()),
+            Some(_) => Err(HatError::WriteConflict { table: key.0.name() }),
         }
     }
 
     /// Releases one lock if held by `owner`.
     pub fn unlock(&self, key: LockKey, owner: OwnerId) {
-        let shard = self.shard(&key);
-        let mut held = shard.held.lock();
+        let mut held = self.shard(&key).lock();
         if held.get(&key) == Some(&owner) {
             held.remove(&key);
-            shard.released.notify_all();
         }
     }
 
@@ -172,13 +86,13 @@ impl LockManager {
     /// two cross-shard committers could validate stale reads of each
     /// other's still-uninstalled writes (write skew).
     pub fn held_by_other(&self, key: &LockKey, owner: OwnerId) -> bool {
-        self.shard(key).held.lock().get(key).is_some_and(|h| *h != owner)
+        self.shard(key).lock().get(key).is_some_and(|h| *h != owner)
     }
 
     /// Number of locks currently held (test/diagnostic helper; takes every
     /// shard lock).
     pub fn held_count(&self) -> usize {
-        self.shards.iter().map(|s| s.held.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 }
 
@@ -245,75 +159,6 @@ mod tests {
             lm.try_lock(*k, 5).unwrap();
         }
         lm.unlock_all(&keys, 5);
-        assert_eq!(lm.held_count(), 0);
-    }
-
-    #[test]
-    fn wait_die_younger_dies() {
-        let lm = LockManager::with_policy(LockPolicy::WaitDie);
-        lm.try_lock((T, 1), 10).unwrap();
-        // Younger (larger id) requester dies immediately.
-        let err = lm.try_lock((T, 1), 20).unwrap_err();
-        assert!(err.is_retryable());
-        assert_eq!(lm.policy().label(), "wait-die");
-    }
-
-    #[test]
-    fn wait_die_older_waits_until_release() {
-        let lm = Arc::new(LockManager::with_policy(LockPolicy::WaitDie));
-        lm.try_lock((T, 1), 20).unwrap();
-        let lm2 = Arc::clone(&lm);
-        // Older (smaller id) requester blocks, then acquires.
-        let waiter = std::thread::spawn(move || {
-            lm2.try_lock((T, 1), 10).unwrap();
-            lm2.unlock((T, 1), 10);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        lm.unlock((T, 1), 20);
-        waiter.join().unwrap();
-        assert_eq!(lm.held_count(), 0);
-    }
-
-    #[test]
-    fn wait_die_has_no_deadlocks_under_crossing_requests() {
-        // Two keys, two transactions locking in opposite orders: wait-die
-        // must resolve (the younger one dies somewhere).
-        let lm = Arc::new(LockManager::with_policy(LockPolicy::WaitDie));
-        let lm1 = Arc::clone(&lm);
-        let lm2 = Arc::clone(&lm);
-        let t1 = std::thread::spawn(move || {
-            let mut aborts = 0;
-            for round in 0..200u64 {
-                let me = 1000 + round * 2; // even ids
-                if lm1.try_lock((T, 1), me).is_ok() {
-                    if lm1.try_lock((T, 2), me).is_err() {
-                        aborts += 1;
-                    }
-                    lm1.unlock_all(&[(T, 1), (T, 2)], me);
-                } else {
-                    aborts += 1;
-                }
-            }
-            aborts
-        });
-        let t2 = std::thread::spawn(move || {
-            let mut aborts = 0;
-            for round in 0..200u64 {
-                let me = 1001 + round * 2; // odd ids
-                if lm2.try_lock((T, 2), me).is_ok() {
-                    if lm2.try_lock((T, 1), me).is_err() {
-                        aborts += 1;
-                    }
-                    lm2.unlock_all(&[(T, 1), (T, 2)], me);
-                } else {
-                    aborts += 1;
-                }
-            }
-            aborts
-        });
-        // Completion within the test timeout IS the assertion.
-        t1.join().unwrap();
-        t2.join().unwrap();
         assert_eq!(lm.held_count(), 0);
     }
 

@@ -1,5 +1,5 @@
 //! Harness operating modes: continuation (no reset between points),
-//! repeat-averaging, and the wait-die lock policy end-to-end.
+//! repeat-averaging, and no-wait locking end-to-end under contention.
 
 mod common;
 
@@ -10,7 +10,7 @@ use hattrick_repro::bench::freshness::FreshnessAgg;
 use hattrick_repro::bench::gen::{generate, ScaleFactor};
 use hattrick_repro::bench::harness::{BenchmarkConfig, Harness};
 use hattrick_repro::common::telemetry::names;
-use hattrick_repro::engine::{DurabilityMode, EngineConfig, HtapEngine, LockPolicy, QueryOpts, ShdEngine};
+use hattrick_repro::engine::{DurabilityMode, EngineConfig, HtapEngine, QueryOpts, ShdEngine};
 
 fn no_reset_harness() -> Harness {
     let data = common::small_data();
@@ -59,66 +59,61 @@ fn repeat_averaging_accumulates_counters() {
 }
 
 #[test]
-fn wait_die_engine_completes_contended_workload() {
+fn no_wait_engine_completes_contended_workload() {
     use hattrick_repro::bench::workload::{run_transaction, TxnKind, WorkloadState};
     use hattrick_repro::common::rng::HatRng;
 
-    // Tiny key domain under 4 writers: wait-die must finish every payment
-    // (possibly with die-retries) and conserve money exactly like no-wait.
+    // Tiny key domain under 4 writers: no-wait must finish every payment
+    // (possibly with conflict retries) and conserve money.
     let data = generate(ScaleFactor(0.0006), 3);
-    for policy in [LockPolicy::NoWait, LockPolicy::WaitDie] {
-        let engine = Arc::new(ShdEngine::new(
-            EngineConfig::builder()
-                .lock_policy(policy)
-                .durability(DurabilityMode::Off)
-                .build(),
-        ));
-        data.load_into(engine.as_ref()).unwrap();
-        let state = WorkloadState::new(&data.profile);
-        std::thread::scope(|scope| {
-            for client in 0..4u32 {
-                let engine = Arc::clone(&engine);
-                let data = &data;
-                let state = &state;
-                scope.spawn(move || {
-                    let mut rng = HatRng::derive(55, client as u64);
-                    for txnnum in 1..=40 {
-                        loop {
-                            match run_transaction(
-                                engine.as_ref(),
-                                &data.profile,
-                                state,
-                                &mut rng,
-                                TxnKind::Payment,
-                                client,
-                                txnnum,
-                            ) {
-                                Ok(_) => break,
-                                Err(e) if e.is_retryable() => continue,
-                                Err(e) => panic!("{policy:?}: {e}"),
-                            }
+    let engine = Arc::new(ShdEngine::new(
+        EngineConfig::builder().durability(DurabilityMode::Off).build(),
+    ));
+    data.load_into(engine.as_ref()).unwrap();
+    let state = WorkloadState::new(&data.profile);
+    std::thread::scope(|scope| {
+        for client in 0..4u32 {
+            let engine = Arc::clone(&engine);
+            let data = &data;
+            let state = &state;
+            scope.spawn(move || {
+                let mut rng = HatRng::derive(55, client as u64);
+                for txnnum in 1..=40 {
+                    loop {
+                        match run_transaction(
+                            engine.as_ref(),
+                            &data.profile,
+                            state,
+                            &mut rng,
+                            TxnKind::Payment,
+                            client,
+                            txnnum,
+                        ) {
+                            Ok(_) => break,
+                            Err(e) if e.is_retryable() => continue,
+                            Err(e) => panic!("{e}"),
                         }
                     }
-                });
-            }
-        });
-        assert_eq!(engine.metrics().counter(names::TXN_COMMITS), 160, "{policy:?}");
-        // Conservation through the analytical path.
-        use hattrick_repro::common::ids::{supplier, TableId};
-        use hattrick_repro::query::predicate::Predicate;
-        use hattrick_repro::query::spec::{AggExpr, QueryId, QuerySpec};
-        let ytd = engine
-            .query(&QuerySpec {
-                id: QueryId::Q1_1,
-                fact: TableId::Supplier,
-                fact_filter: Predicate::all(),
-                joins: vec![],
-                group_by: vec![],
-                agg: AggExpr::SumMoney(supplier::YTD),
-            }, &QueryOpts::default())
-            .unwrap()
-            .groups[0]
-            .agg;
-        assert!(ytd > 0, "{policy:?}: payments moved money");
-    }
+                }
+            });
+        }
+    });
+    assert_eq!(engine.metrics().counter(names::TXN_COMMITS), 160);
+    // Conservation through the analytical path.
+    use hattrick_repro::common::ids::{supplier, TableId};
+    use hattrick_repro::query::predicate::Predicate;
+    use hattrick_repro::query::spec::{AggExpr, QueryId, QuerySpec};
+    let ytd = engine
+        .query(&QuerySpec {
+            id: QueryId::Q1_1,
+            fact: TableId::Supplier,
+            fact_filter: Predicate::all(),
+            joins: vec![],
+            group_by: vec![],
+            agg: AggExpr::SumMoney(supplier::YTD),
+        }, &QueryOpts::default())
+        .unwrap()
+        .groups[0]
+        .agg;
+    assert!(ytd > 0, "payments moved money");
 }

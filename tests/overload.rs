@@ -7,8 +7,10 @@
 //! the overload contract end to end:
 //!
 //! 1. **Predictable shedding** — a seeded 10× step burst sheds for
-//!    overload reasons (bounded queue, stale sojourn, admission gate),
-//!    never silently, and never attributed to storage.
+//!    overload reasons (bounded queue, stale sojourn), never silently,
+//!    and never attributed to storage. The harness queue is the only
+//!    overload gate: the engine admits every request its workers hand it
+//!    and sheds only for storage health.
 //! 2. **Bounded sojourn for admitted work** — requests that actually
 //!    execute have p99 enqueue-to-completion time bounded near the
 //!    deadline budget: the CoDel-style stale shed at dequeue keeps the
@@ -38,7 +40,7 @@ use hattrick_repro::bench::harness::{
 use hattrick_repro::bench::openloop::{ArrivalShape, OpenLoopConfig};
 use hattrick_repro::bench::report;
 use hattrick_repro::common::telemetry::names;
-use hattrick_repro::engine::{AdmissionConfig, EngineConfig, ShdEngine};
+use hattrick_repro::engine::{EngineConfig, ShdEngine};
 
 /// Tick layout of the step-overload schedule: base load, a 10× burst,
 /// then a recovery window in which goodput must return.
@@ -325,64 +327,6 @@ fn control_arm_case() {
         budgeted_ratio - control_ratio >= 0.15,
         "the budget must make a decisive difference: {budgeted_ratio:.2} vs {control_ratio:.2}"
     );
-}
-
-#[test]
-fn engine_admission_gate_sheds_into_open_loop_accounting() {
-    // Arm the engine-side admission gate with a tiny commit budget so
-    // saturation surfaces as typed `Overloaded` sheds at the engine, and
-    // check they flow into both the open-loop accounting and the
-    // engine's own admission counters.
-    let _x = exclusive();
-    let data = generate(ScaleFactor(0.001), 0xD5);
-    let cfg = EngineConfig::builder()
-        .admission(AdmissionConfig {
-            txn_slots: Some(1),
-            queue_cap: 2,
-            queue_deadline: Duration::from_micros(200),
-            ..AdmissionConfig::default()
-        })
-        .build();
-    let engine = ShdEngine::new(cfg);
-    data.load_into(&engine).unwrap();
-    let harness = Harness::new(
-        Arc::new(engine),
-        data.profile.clone(),
-        BenchmarkConfig {
-            seed: 0xBEEF,
-            // Gate sheds are terminal here: no retries, so every shed is
-            // visible instead of being papered over.
-            retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
-            ..BenchmarkConfig::default()
-        },
-    );
-    let ol = OpenLoopConfig {
-        arrival_rate: 4000.0,
-        shape: ArrivalShape::Poisson,
-        deadline: Duration::from_millis(50),
-        workers: 8,
-        queue_cap: 4096,
-        ticks: 30,
-        tick: Duration::from_millis(10),
-        service_pad: Duration::ZERO,
-    };
-    let m = harness.run_open_loop(&ol).unwrap();
-    assert!(
-        window(&m, 0, 30, |t| t.shed_engine) > 0,
-        "a one-slot gate under 8 workers must shed at the engine"
-    );
-    let end = &m.point.metrics_end;
-    assert!(end.counter(names::ADMIT_TXN_SHED) > 0, "gate counted its sheds");
-    assert!(
-        end.counter(names::ADMIT_TXN_OFFERED)
-            >= end.counter(names::ADMIT_TXN_ADMITTED) + end.counter(names::ADMIT_TXN_SHED),
-        "offered ≥ admitted + shed"
-    );
-    // A healthy disk keeps the degradation line silent even under heavy
-    // overload shedding — the causes are never conflated.
-    assert!(report::degradation_line(end).is_none());
-    // Engine sheds are overload-cause in the timeseries split.
-    assert!(m.point.timeseries.iter().any(|s| s.shed_overload > 0));
 }
 
 #[test]
