@@ -33,7 +33,7 @@ use hat_engine::{
 use hat_txn::IsolationLevel;
 use hattrick::artifact::{RunArtifact, RunConfig};
 use hattrick::freshness::FreshnessAgg;
-use hattrick::frontier::{build_grid, sweep_shards, Frontier, SaturationConfig};
+use hattrick::frontier::{build_grid, Frontier, SaturationConfig};
 use hattrick::gen::{generate, ScaleFactor};
 use hattrick::harness::{
     BenchmarkConfig, Harness, PointMeasurement, RetryBudgetConfig, SamplePhase,
@@ -61,14 +61,12 @@ fn build_engine(
     name: &str,
     durability: &DurabilityMode,
     vacuum: Option<Duration>,
-    shards: u32,
 ) -> Option<Arc<dyn HtapEngine>> {
     let shd = |iso, idx| -> Arc<dyn HtapEngine> {
         let mut cfg = EngineConfig::builder()
             .isolation(iso)
             .indexes(idx)
             .durability(durability.clone())
-            .shards(shards)
             .build();
         cfg.vacuum_interval = vacuum;
         Arc::new(ShdEngine::new(cfg))
@@ -76,7 +74,6 @@ fn build_engine(
     let iso = |mode| -> Arc<dyn HtapEngine> {
         let mut cfg = IsoConfig { mode, ..IsoConfig::coalesced_default() };
         cfg.engine.vacuum_interval = vacuum;
-        cfg.engine.shards = shards.max(1);
         Arc::new(IsoEngine::new(cfg))
     };
     Some(match name {
@@ -89,57 +86,79 @@ fn build_engine(
         "isolated-async" => iso(ReplicationMode::Async),
         "dual" => Arc::new(DualEngine::new(DualConfig {
             vacuum_interval: vacuum,
-            shards,
             ..DualConfig::default()
         })),
         "learner" => Arc::new(LearnerEngine::new(LearnerConfig {
             vacuum_interval: vacuum,
-            shards,
             ..LearnerConfig::default()
         })),
         "learner-dist" => Arc::new(LearnerEngine::new(LearnerConfig {
             profile: LearnerProfile::Distributed,
             vacuum_interval: vacuum,
-            shards,
             ..LearnerConfig::default()
         })),
         "cow" => {
             let mut cfg = CowConfig::default();
             cfg.engine.vacuum_interval = vacuum;
-            cfg.engine.shards = shards.max(1);
             Arc::new(CowEngine::new(cfg))
         }
         _ => return None,
     })
 }
 
-/// Parses `--shards <n>` / `--shards <a,b,c>` into the sweep list
-/// (default: a single-shard kernel, the pre-ISSUE-8 baseline).
-fn parse_shards(args: &Args) -> Option<Vec<u32>> {
-    let Some(spec) = args.get(&["shards"]) else { return Some(vec![1]) };
-    let counts: Vec<u32> =
-        spec.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-    if counts.is_empty() || counts.contains(&0) {
-        eprintln!("bad --shards {spec}; expected counts like 4 or 1,2,4");
-        return None;
-    }
-    Some(counts)
+/// Flags of the engine-running subcommands that pick the engine and its
+/// data.
+const ENGINE_FLAGS: &[&str] = &["engine", "e", "sf", "seed", "metrics-out"];
+/// Flags read by [`make_harness`] (so by `point`, `frontier`, `compare`).
+const HARNESS_FLAGS: &[&str] = &[
+    "mix", "retry-budget", "max-attempts", "warmup-ms", "measure-ms", "a-threads",
+    "vacuum-interval-ms", "no-vacuum",
+];
+/// Flags read by [`parse_durability`].
+const DURABILITY_FLAGS: &[&str] = &["durability", "wal-dir", "disk-faults", "max-commit-backlog"];
+/// Flags of `point` alone: the closed-loop point, the open-loop run, and
+/// the core scheduler.
+const POINT_FLAGS: &[&str] = &[
+    "t", "a", "repeats", "r", "arrival-rate", "arrival-shape", "burst-period", "burst-depth",
+    "burst-mult", "burst-from", "burst-until", "deadline-ms", "workers", "queue-cap", "ticks",
+    "tick-ms", "service-pad-us", "sched", "budget", "t-floor", "dwell", "high-backlog",
+    "low-backlog", "t-cores", "overlay-out",
+];
+/// Flags of `frontier` alone.
+const FRONTIER_FLAGS: &[&str] = &["quick", "out", "o"];
+
+/// Every flag `cmd` reads; `None` for subcommands that take none.
+fn accepted_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    Some(match cmd {
+        "point" => [ENGINE_FLAGS, HARNESS_FLAGS, DURABILITY_FLAGS, POINT_FLAGS].concat(),
+        "frontier" => [ENGINE_FLAGS, HARNESS_FLAGS, DURABILITY_FLAGS, FRONTIER_FLAGS].concat(),
+        "compare" => [HARNESS_FLAGS, &["sf", "quick"]].concat(),
+        _ => return None,
+    })
 }
 
-/// Minimal flag parser: `--key value` and `-k value` pairs.
+/// Minimal flag parser: `--key value` and `-k value` pairs; a word that is
+/// neither a flag nor a flag's value is positional.
 struct Args {
     pairs: Vec<(String, String)>,
+    positional: Vec<String>,
 }
 
 impl Args {
     fn parse(argv: &[String]) -> Self {
         let mut pairs = Vec::new();
+        let mut positional = Vec::new();
         let mut i = 0;
         while i < argv.len() {
+            if !argv[i].starts_with('-') {
+                positional.push(argv[i].clone());
+                i += 1;
+                continue;
+            }
             let key = argv[i].trim_start_matches('-').to_string();
             // A following flag is not this key's value: `--no-vacuum
             // --metrics-out run.json` must leave `--metrics-out` intact.
-            if i + 1 < argv.len() && argv[i].starts_with('-') && !argv[i + 1].starts_with('-') {
+            if i + 1 < argv.len() && !argv[i + 1].starts_with('-') {
                 pairs.push((key, argv[i + 1].clone()));
                 i += 2;
             } else {
@@ -147,7 +166,17 @@ impl Args {
                 i += 1;
             }
         }
-        Args { pairs }
+        Args { pairs, positional }
+    }
+
+    /// The first flag not in `accepted`, or the first positional word
+    /// (flag subcommands take none), as written on the command line.
+    fn unknown(&self, accepted: &[&str]) -> Option<String> {
+        self.pairs
+            .iter()
+            .find(|(k, _)| !accepted.contains(&k.as_str()))
+            .map(|(k, _)| format!("{}{k}", if k.len() == 1 { "-" } else { "--" }))
+            .or_else(|| self.positional.first().cloned())
     }
 
     fn get(&self, names: &[&str]) -> Option<&str> {
@@ -252,7 +281,6 @@ fn make_harness(
     seed: u64,
     durability: &DurabilityMode,
     args: &Args,
-    shards: u32,
 ) -> Option<Harness> {
     // `--mix n,p,c`: New Order / Payment / Count Orders weights
     // (default 48,48,4 per §5.3). `--mix 0,96,4` gives an update-only
@@ -269,10 +297,7 @@ fn make_harness(
             TxnMix { new_order: w[0], payment: w[1], count_orders: w[2] }
         }
     };
-    let engine = build_engine(engine_name, durability, parse_vacuum(args), shards)?;
-    if shards > 1 {
-        eprintln!("kernel split across {shards} commit shards");
-    }
+    let engine = build_engine(engine_name, durability, parse_vacuum(args))?;
     eprintln!("loading {} at SF {sf} ...", engine.name());
     let data = generate(ScaleFactor(sf), seed);
     data.load_into(engine.as_ref()).expect("load failed");
@@ -555,15 +580,9 @@ fn cmd_point(args: &Args) -> i32 {
     let a = args.u32(&["a"], 2);
     let repeats = args.u32(&["repeats", "r"], 1);
     let Some(durability) = parse_durability(args) else { return 2 };
-    let Some(shards) = parse_shards(args) else { return 2 };
-    let Some(harness) = make_harness(
-        &engine,
-        sf,
-        args.u32(&["seed"], 7) as u64,
-        &durability,
-        args,
-        shards[0],
-    ) else {
+    let Some(harness) =
+        make_harness(&engine, sf, args.u32(&["seed"], 7) as u64, &durability, args)
+    else {
         eprintln!("unknown engine {engine}; try `hatcli engines`");
         return 2;
     };
@@ -591,36 +610,13 @@ fn cmd_frontier(args: &Args) -> i32 {
     let engine = args.get(&["engine", "e"]).unwrap_or("shared").to_string();
     let sf = args.f64(&["sf"], 0.01);
     let Some(durability) = parse_durability(args) else { return 2 };
-    let Some(shards) = parse_shards(args) else { return 2 };
     let seed = args.u32(&["seed"], 7) as u64;
     let cfg = if args.has("quick") {
         SaturationConfig::quick()
     } else {
         SaturationConfig::default()
     };
-    // `--shards a,b,c`: the multi-core sweep — one freshly built engine
-    // per shard count, same saturation procedure, scaling table at the
-    // end (x_t per count, speedup over the first).
-    if shards.len() > 1 {
-        let entries = sweep_shards(&shards, &cfg, |n| {
-            make_harness(&engine, sf, seed, &durability, args, n)
-        });
-        if entries.is_empty() {
-            eprintln!("unknown engine {engine}; try `hatcli engines`");
-            return 2;
-        }
-        println!("== {engine} @ SF {sf}, shard sweep ==");
-        for e in &entries {
-            println!(
-                "{}",
-                report::frontier_ascii(&format!("{engine} x{}", e.shards), &e.frontier)
-            );
-        }
-        print!("{}", report::shard_scaling(&entries));
-        return 0;
-    }
-    let Some(harness) = make_harness(&engine, sf, seed, &durability, args, shards[0])
-    else {
+    let Some(harness) = make_harness(&engine, sf, seed, &durability, args) else {
         eprintln!("unknown engine {engine}; try `hatcli engines`");
         return 2;
     };
@@ -710,7 +706,7 @@ fn cmd_compare(args: &Args) -> i32 {
     let mut results: Vec<(String, Frontier, FreshnessAgg)> = Vec::new();
     for name in names {
         let durability = DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY);
-        let harness = make_harness(name, sf, 7, &durability, args, 1).expect("builtin engine");
+        let harness = make_harness(name, sf, 7, &durability, args).expect("builtin engine");
         let grid = build_grid(&harness, &cfg);
         let frontier = Frontier::from_grid(&grid);
         let fresh: Vec<f64> = grid
@@ -739,10 +735,61 @@ fn cmd_compare(args: &Args) -> i32 {
     0
 }
 
+/// The usage text, printed for `help` and on a bad invocation.
+const USAGE: &str = "usage: hatcli <engines|point|frontier|compare|artifact> [flags]\n\
+    point:    --engine <name> --sf <f> -t <n> -a <n> [--repeats n]\n\
+    frontier: --engine <name> --sf <f> [--quick] [--out chart.svg]\n\
+    compare:  --sf <f> [--quick]\n\
+    artifact: <run.json> (validate + summarize a metrics artifact)\n\
+    point/frontier also take --metrics-out <run.json> (write the\n\
+    versioned JSON run artifact: config, per-point metric\n\
+    snapshots, latency histograms, time series)\n\
+    point/frontier/compare also take --a-threads <n> (morsel\n\
+    parallelism per analytical query, default 1),\n\
+    --vacuum-interval-ms <ms> (background MVCC version-chain\n\
+    vacuum cadence, default 25) or --no-vacuum (disable it),\n\
+    --warmup-ms/--measure-ms <ms> (per-point window lengths,\n\
+    default 200/600), --mix <n,p,c> (New Order / Payment /\n\
+    Count Orders weights, default 48,48,4),\n\
+    and point/frontier --durability\n\
+    off|sleep|fsync [--wal-dir <dir>] (fsync runs a real\n\
+    on-disk WAL); with fsync, --disk-faults <seed> arms a\n\
+    seeded disk-fault plan (EIO, fsync failures, ENOSPC,\n\
+    stalls) and --max-commit-backlog <frames> bounds the\n\
+    group-commit queue (excess commits shed with retryable\n\
+    errors)\n\
+    point --arrival-rate <req/s> switches to an open-loop\n\
+    overload run: offered load is an input, not a client\n\
+    count. Knobs: --arrival-shape poisson|bursty|step\n\
+    (bursty: --burst-period/--burst-depth; step:\n\
+    --burst-mult/--burst-from/--burst-until),\n\
+    --deadline-ms <ms>, --workers <n>, --queue-cap <n>,\n\
+    --ticks <n>, --tick-ms <ms>, --service-pad-us <us>,\n\
+    --retry-budget <tokens> (shared budget; omit for the\n\
+    unbudgeted control arm), --max-attempts <n>\n\
+    open-loop runs also take --sched static|elastic|pinned;\n\
+    elastic\n\
+    holds a fixed core budget and reassigns it between the\n\
+    commit and query sides at tick granularity. Knobs:\n\
+    --budget <cores> (default 4), --t-floor <cores>,\n\
+    --dwell <ticks> (calm ticks before giving a core back),\n\
+    --high-backlog/--low-backlog <per-core> (AIMD\n\
+    watermarks); pinned runs the same dual-population\n\
+    driver at a fixed --t-cores <n> split (the static\n\
+    comparison arm); the per-tick allocation trace lands in\n\
+    the artifact (schema v6) as t_cores/a_cores columns and\n\
+    --overlay-out <chart.svg> draws the per-tick\n\
+    (goodput, qps) trajectory\n\
+    any other flag is an error (usage, exit 2)";
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let cmd = argv.first().map(String::as_str).unwrap_or("help");
     let args = Args::parse(&argv[argv.len().min(1)..]);
+    if let Some(bad) = accepted_flags(cmd).and_then(|accepted| args.unknown(&accepted)) {
+        eprintln!("unknown argument {bad} for `hatcli {cmd}`\n{USAGE}");
+        std::process::exit(2);
+    }
     let code = match cmd {
         "engines" => {
             for e in ENGINES {
@@ -755,56 +802,7 @@ fn main() {
         "compare" => cmd_compare(&args),
         "artifact" => cmd_artifact(argv.get(1).map(String::as_str)),
         _ => {
-            eprintln!(
-                "usage: hatcli <engines|point|frontier|compare|artifact> [flags]\n\
-                 point:    --engine <name> --sf <f> -t <n> -a <n> [--repeats n]\n\
-                 frontier: --engine <name> --sf <f> [--quick] [--out chart.svg]\n\
-                 compare:  --sf <f> [--quick]\n\
-                 artifact: <run.json> (validate + summarize a metrics artifact)\n\
-                 point/frontier also take --metrics-out <run.json> (write the\n\
-                 versioned JSON run artifact: config, per-point metric\n\
-                 snapshots, latency histograms, time series)\n\
-                 point/frontier also take --shards <n> (commit shards the\n\
-                 transactional kernel is hash-split across, default 1);\n\
-                 frontier --shards <a,b,c> runs the multi-core sweep: one\n\
-                 frontier per shard count plus the T-scaling table\n\
-                 point/frontier/compare also take --a-threads <n> (morsel\n\
-                 parallelism per analytical query, default 1),\n\
-                 --vacuum-interval-ms <ms> (background MVCC version-chain\n\
-                 vacuum cadence, default 25) or --no-vacuum (disable it),\n\
-                 --warmup-ms/--measure-ms <ms> (per-point window lengths,\n\
-                 default 200/600), --mix <n,p,c> (New Order / Payment /\n\
-                 Count Orders weights, default 48,48,4),\n\
-                 and point/frontier --durability\n\
-                 off|sleep|fsync [--wal-dir <dir>] (fsync runs a real\n\
-                 on-disk WAL); with fsync, --disk-faults <seed> arms a\n\
-                 seeded disk-fault plan (EIO, fsync failures, ENOSPC,\n\
-                 stalls) and --max-commit-backlog <frames> bounds the\n\
-                 group-commit queue (excess commits shed with retryable\n\
-                 errors)\n\
-                 point --arrival-rate <req/s> switches to an open-loop\n\
-                 overload run: offered load is an input, not a client\n\
-                 count. Knobs: --arrival-shape poisson|bursty|step\n\
-                 (bursty: --burst-period/--burst-depth; step:\n\
-                 --burst-mult/--burst-from/--burst-until),\n\
-                 --deadline-ms <ms>, --workers <n>, --queue-cap <n>,\n\
-                 --ticks <n>, --tick-ms <ms>, --service-pad-us <us>,\n\
-                 --retry-budget <tokens> (shared budget; omit for the\n\
-                 unbudgeted control arm), --max-attempts <n>\n\
-                 open-loop runs also take --sched static|elastic|pinned;\n\
-                 elastic\n\
-                 holds a fixed core budget and reassigns it between the\n\
-                 commit and query sides at tick granularity. Knobs:\n\
-                 --budget <cores> (default 4), --t-floor <cores>,\n\
-                 --dwell <ticks> (calm ticks before giving a core back),\n\
-                 --high-backlog/--low-backlog <per-core> (AIMD\n\
-                 watermarks); pinned runs the same dual-population\n\
-                 driver at a fixed --t-cores <n> split (the static\n\
-                 comparison arm); the per-tick allocation trace lands in\n\
-                 the artifact (schema v6) as t_cores/a_cores columns and\n\
-                 --overlay-out <chart.svg> draws the per-tick\n\
-                 (goodput, qps) trajectory"
-            );
+            eprintln!("{USAGE}");
             if cmd == "help" {
                 0
             } else {
@@ -813,4 +811,42 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Args {
+        Args::parse(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accepted_flags_parse_clean() {
+        let point = accepted_flags("point").unwrap();
+        let args = parse(&[
+            "--engine", "shared", "--sf", "0.01", "-t", "2", "-a", "0", "--durability", "off",
+            "--measure-ms", "2000", "--no-vacuum", "--metrics-out", "run.json",
+        ]);
+        assert_eq!(args.unknown(&point), None);
+        assert_eq!(args.get(&["measure-ms"]), Some("2000"));
+        assert!(args.has("no-vacuum"));
+        assert_eq!(args.get(&["metrics-out"]), Some("run.json"));
+        let frontier = accepted_flags("frontier").unwrap();
+        assert_eq!(parse(&["--engine", "dual", "--quick", "-o", "f.svg"]).unknown(&frontier), None);
+        assert_eq!(accepted_flags("engines"), None, "engines takes no flags to check");
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_words_are_named() {
+        let point = accepted_flags("point").unwrap();
+        assert_eq!(parse(&["--engine", "shared", "--bogus", "1"]).unknown(&point).as_deref(), Some("--bogus"));
+        // A typo must not silently run the defaults.
+        assert_eq!(parse(&["--measure_ms", "2000"]).unknown(&point).as_deref(), Some("--measure_ms"));
+        assert_eq!(parse(&["--shards", "4"]).unknown(&point).as_deref(), Some("--shards"));
+        assert_eq!(parse(&["shared", "-t", "2"]).unknown(&point).as_deref(), Some("shared"));
+        // `point`-only flags are not `frontier` flags.
+        let frontier = accepted_flags("frontier").unwrap();
+        assert_eq!(parse(&["-t", "2"]).unknown(&frontier).as_deref(), Some("-t"));
+    }
 }

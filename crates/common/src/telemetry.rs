@@ -34,9 +34,6 @@ pub mod names {
     pub const TXN_COMMITS: &str = "txn.commits";
     pub const TXN_ABORTS: &str = "txn.aborts";
     pub const TXN_REPL_TIMEOUTS: &str = "txn.replication_timeouts";
-    /// Commits whose write set spanned more than one commit shard (each
-    /// pays the cross-shard 2PC round). Zero on a shard-local workload.
-    pub const TXN_XSHARD_COMMITS: &str = "txn.xshard_commits";
     pub const QUERIES: &str = "query.executed";
     pub const MORSELS_SCANNED: &str = "scan.morsels_scanned";
     pub const MORSELS_PRUNED: &str = "scan.morsels_pruned";

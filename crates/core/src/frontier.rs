@@ -298,48 +298,6 @@ pub fn sample_random(
         .collect()
 }
 
-/// One entry of a multi-core shard sweep: the grid and frontier measured
-/// with the transactional kernel split across `shards` commit shards.
-#[derive(Debug, Clone)]
-pub struct ShardSweepEntry {
-    pub shards: u32,
-    pub grid: GridGraph,
-    pub frontier: Frontier,
-}
-
-impl ShardSweepEntry {
-    /// T-axis speedup of this entry over `base`: the ratio of pure
-    /// transactional throughputs `x_t / base.x_t` (the multi-core scaling
-    /// signal of the shard sweep).
-    pub fn t_speedup_over(&self, base: &ShardSweepEntry) -> f64 {
-        if base.grid.x_t <= 0.0 {
-            return 0.0;
-        }
-        self.grid.x_t / base.grid.x_t
-    }
-}
-
-/// Sweeps the saturation method across kernel shard counts. Shard layout
-/// is fixed at engine construction, so `make` must build (and load) a
-/// fresh harness for each count; each harness then gets the same grid
-/// procedure. Counts `make` declines are skipped. Comparing the entries'
-/// pure-T extremes gives the frontier a real multi-core `x_t` axis.
-pub fn sweep_shards(
-    counts: &[u32],
-    cfg: &SaturationConfig,
-    mut make: impl FnMut(u32) -> Option<Harness>,
-) -> Vec<ShardSweepEntry> {
-    let mut out = Vec::new();
-    for &shards in counts {
-        let shards = shards.max(1);
-        let Some(harness) = make(shards) else { continue };
-        let grid = build_grid(&harness, cfg);
-        let frontier = Frontier::from_grid(&grid);
-        out.push(ShardSweepEntry { shards, grid, frontier });
-    }
-    out
-}
-
 /// The throughput frontier: the Pareto-maximal boundary of observed hybrid
 /// throughput.
 #[derive(Debug, Clone)]

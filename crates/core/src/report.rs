@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use hat_common::telemetry::{names, MetricsSnapshot};
 
 use crate::freshness::FreshnessAgg;
-use crate::frontier::{classify, FixedKind, Frontier, GridGraph, ShardSweepEntry};
+use crate::frontier::{classify, FixedKind, Frontier, GridGraph};
 
 /// CSV of a frontier: `t_clients,a_clients,tps,qps`.
 pub fn frontier_csv(frontier: &Frontier) -> String {
@@ -157,24 +157,6 @@ pub fn summary(name: &str, frontier: &Frontier, freshness: &FreshnessAgg) -> Str
         );
     } else {
         let _ = writeln!(out, "  freshness: no samples");
-    }
-    out
-}
-
-/// The shard-scaling table of a multi-core sweep: pure-workload extremes
-/// per shard count and T-axis speedup over the sweep's first entry.
-pub fn shard_scaling(entries: &[ShardSweepEntry]) -> String {
-    let mut out = String::from("shards  X_T(tps)    X_A(qps)  T-speedup\n");
-    let Some(base) = entries.first() else { return out };
-    for e in entries {
-        let _ = writeln!(
-            out,
-            "{:>6}  {:>8.1}  {:>10.2}  {:>8.2}x",
-            e.shards,
-            e.grid.x_t,
-            e.grid.x_a,
-            e.t_speedup_over(base)
-        );
     }
     out
 }

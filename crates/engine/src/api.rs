@@ -62,14 +62,6 @@ impl IndexProfile {
 pub struct EngineConfig {
     pub isolation: IsolationLevel,
     pub indexes: IndexProfile,
-    /// Commit shards the transactional kernel is split across. Each shard
-    /// owns its own commit critical section, lock-table stripe,
-    /// group-commit queue, and (under `Fsync`) WAL stream; a transaction
-    /// whose write set routes to one shard commits entirely under that
-    /// shard's lock, while cross-shard write sets pay an epoch-based 2PC
-    /// round over every touched shard. `1` (the default) reproduces the
-    /// single-oracle kernel exactly.
-    pub shards: u32,
     /// How commits become durable, paid after installation outside the
     /// commit critical section. Real engines pay this on every commit; it
     /// is also what makes the transactional workload scale with clients
@@ -128,12 +120,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Commit-shard count (clamped to at least 1).
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.config.shards = shards.max(1);
-        self
-    }
-
     /// Commit durability mode.
     pub fn durability(mut self, durability: DurabilityMode) -> Self {
         self.config.durability = durability;
@@ -164,7 +150,6 @@ impl Default for EngineConfig {
         EngineConfig {
             isolation: IsolationLevel::Serializable,
             indexes: IndexProfile::All,
-            shards: 1,
             durability: DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY),
             vacuum_interval: Some(EngineConfig::DEFAULT_VACUUM_INTERVAL),
         }
@@ -385,7 +370,6 @@ mod tests {
         // the SSD-class latency) so throughput numbers stay honest.
         assert!(!c.durability.is_off());
         assert_eq!(c.durability, DurabilityMode::Sleep(EngineConfig::DEFAULT_COMMIT_LATENCY));
-        assert_eq!(c.shards, 1, "single-shard kernel is the baseline");
         assert_eq!(c.without_durability().durability, DurabilityMode::Off);
     }
 
@@ -414,10 +398,6 @@ mod tests {
         assert!(c.durability.is_off());
         assert_eq!(c.vacuum_interval, Some(std::time::Duration::from_millis(3)));
         assert_eq!(EngineConfig::builder().no_vacuum().build().vacuum_interval, None);
-
-        let c = EngineConfig::builder().shards(4).build();
-        assert_eq!(c.shards, 4);
-        assert_eq!(EngineConfig::builder().shards(0).build().shards, 1, "clamped");
     }
 
     #[test]

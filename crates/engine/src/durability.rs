@@ -160,18 +160,9 @@ impl DurabilityLayer {
     /// section so WAL order equals commit-timestamp order. Returns the
     /// token [`DurabilityLayer::wait`] blocks on.
     pub fn log(&self, commit_ts: Ts, ops: &[TableOp]) -> Result<u64> {
-        self.log_with(commit_ts, ops, &[])
-    }
-
-    /// [`DurabilityLayer::log`] with an explicit cross-shard participant
-    /// set stamped into the record (empty for single-shard commits). The
-    /// record goes to *this* layer's stream only — for a cross-shard
-    /// commit that must be the coordinator's, whose durable prefix is the
-    /// sole arbiter of the transaction's fate at recovery.
-    pub fn log_with(&self, commit_ts: Ts, ops: &[TableOp], participants: &[u8]) -> Result<u64> {
         match self {
             DurabilityLayer::Off | DurabilityLayer::Sleep(_) => Ok(0),
-            DurabilityLayer::Fsync(wal) => wal.append_with(commit_ts, ops, participants),
+            DurabilityLayer::Fsync(wal) => wal.append(commit_ts, ops),
         }
     }
 
@@ -226,120 +217,6 @@ impl DurabilityLayer {
             DurabilityLayer::Sleep(h) => h.0.stats(),
             DurabilityLayer::Fsync(wal) => wal.stats(),
         }
-    }
-}
-
-/// Per-shard durability: one [`DurabilityLayer`] per commit shard, so each
-/// shard owns its own group-commit queue and (under `Fsync`) WAL stream.
-///
-/// * `shards == 1` — a single layer on the configured directory, exactly
-///   the pre-sharding layout (old WAL directories recover unchanged).
-/// * `shards > 1`, `Fsync` — shard `s` logs to `dir/shard-s`. Shard 0's
-///   stream additionally carries the full data checkpoint; shards 1..N
-///   write empty *marker* checkpoints for segment pruning only.
-/// * `shards > 1`, `Sleep` — independent [`SleepGroupCommit`] instances,
-///   so shards coalesce flushes separately (per-shard group commit).
-pub struct ShardedDurability {
-    layers: Vec<DurabilityLayer>,
-}
-
-impl ShardedDurability {
-    /// Opens one layer per shard, returning each shard's recovery (index
-    /// = shard).
-    pub fn open(mode: &DurabilityMode, shards: u32) -> Result<(Self, Vec<Option<WalRecovery>>)> {
-        let shards = shards.max(1) as usize;
-        let mut layers = Vec::with_capacity(shards);
-        let mut recoveries = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let shard_mode = match mode {
-                DurabilityMode::Fsync(cfg) if shards > 1 => {
-                    let mut c = cfg.clone();
-                    c.dir = cfg.dir.join(format!("shard-{s}"));
-                    DurabilityMode::Fsync(c)
-                }
-                m => m.clone(),
-            };
-            let (layer, recovery) = DurabilityLayer::open(&shard_mode)?;
-            layers.push(layer);
-            recoveries.push(recovery);
-        }
-        Ok((ShardedDurability { layers }, recoveries))
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Shard `s`'s layer.
-    pub fn layer(&self, s: usize) -> &DurabilityLayer {
-        &self.layers[s]
-    }
-
-    /// Shard 0's on-disk WAL, when one exists. Shard 0 is the stream that
-    /// carries data checkpoints, so existing call sites (checkpointers,
-    /// crash-injection tests) keep working against it.
-    pub fn wal(&self) -> Option<&Arc<DurableWal>> {
-        self.layers[0].wal()
-    }
-
-    /// Shard `s`'s on-disk WAL, when one exists.
-    pub fn wal_for(&self, s: usize) -> Option<&Arc<DurableWal>> {
-        self.layers[s].wal()
-    }
-
-    /// Commit admission on shard `s` (the coordinator for cross-shard
-    /// commits).
-    pub fn admit(&self, s: usize) -> Result<()> {
-        self.layers[s].admit()
-    }
-
-    /// Logs on shard `s`'s stream. See [`DurabilityLayer::log_with`].
-    pub fn log(&self, s: usize, commit_ts: Ts, ops: &[TableOp], participants: &[u8]) -> Result<u64> {
-        self.layers[s].log_with(commit_ts, ops, participants)
-    }
-
-    /// Durability wait against shard `s`'s stream.
-    pub fn wait(&self, s: usize, token: u64) -> Result<()> {
-        self.layers[s].wait(token)
-    }
-
-    /// Worst health across shards: any `Degraded` shard degrades the
-    /// kernel (its commits shed), then `Recovering`, else `Healthy`.
-    pub fn health(&self) -> HealthState {
-        let mut worst = HealthState::Healthy;
-        for layer in &self.layers {
-            match layer.health() {
-                HealthState::Degraded => return HealthState::Degraded,
-                HealthState::Recovering => worst = HealthState::Recovering,
-                HealthState::Healthy => {}
-            }
-        }
-        worst
-    }
-
-    /// Aggregated counters: numeric fields summed and group-commit batch
-    /// histograms merged across shards, health from
-    /// [`ShardedDurability::health`].
-    pub fn stats(&self) -> DurableWalStats {
-        let mut agg = self.layers[0].stats();
-        for layer in &self.layers[1..] {
-            let s = layer.stats();
-            agg.fsyncs += s.fsyncs;
-            agg.group_commit_batches = agg.group_commit_batches.merge(&s.group_commit_batches);
-            agg.durable_lsn = agg.durable_lsn.max(s.durable_lsn);
-            agg.recovery_replayed_records += s.recovery_replayed_records;
-            agg.torn_tail_truncations += s.torn_tail_truncations;
-            agg.checkpoints += s.checkpoints;
-            agg.segments_deleted += s.segments_deleted;
-            agg.disk_faults += s.disk_faults;
-            agg.shed_commits += s.shed_commits;
-            agg.degraded_ticks += s.degraded_ticks;
-            agg.scrub_passes += s.scrub_passes;
-            agg.quarantined_segments += s.quarantined_segments;
-        }
-        agg.health = self.health();
-        agg
     }
 }
 

@@ -161,9 +161,6 @@ pub struct DualConfig {
     /// Row-side MVCC vacuum cadence (`None` disables it); forwarded to
     /// the kernel's [`EngineConfig::vacuum_interval`].
     pub vacuum_interval: Option<Duration>,
-    /// Commit shards of the transactional kernel; forwarded to
-    /// [`EngineConfig::shards`].
-    pub shards: u32,
 }
 
 impl Default for DualConfig {
@@ -173,7 +170,6 @@ impl Default for DualConfig {
             merge_threshold: 4096,
             merge_interval: Duration::from_millis(5),
             vacuum_interval: Some(EngineConfig::DEFAULT_VACUUM_INTERVAL),
-            shards: 1,
         }
     }
 }
@@ -189,12 +185,6 @@ impl CommitHooks for DualHooks {
         for op in ops {
             self.columnar.apply_op(ts, op);
         }
-    }
-
-    // The delta tail assumes timestamp-ordered appends; sharded commits
-    // must deliver through the sequencer.
-    fn ordered_install(&self) -> bool {
-        true
     }
 }
 
@@ -219,8 +209,6 @@ impl DualEngine {
                 // Memory-optimized engine: cheaper log persistence.
                 durability: crate::api::DurabilityMode::Sleep(Duration::from_micros(60)),
                 vacuum_interval: config.vacuum_interval,
-                shards: config.shards.max(1),
-                ..EngineConfig::default()
             },
             hooks,
         );
@@ -343,9 +331,6 @@ pub struct LearnerConfig {
     /// needs no vacuum — the learner thread already folds its delta and
     /// dimension update logs at the applied watermark.
     pub vacuum_interval: Option<Duration>,
-    /// Commit shards of the transactional kernel; forwarded to
-    /// [`EngineConfig::shards`].
-    pub shards: u32,
 }
 
 impl Default for LearnerConfig {
@@ -359,7 +344,6 @@ impl Default for LearnerConfig {
             read_index_timeout: Duration::from_millis(500),
             wal_retention: DEFAULT_RETENTION,
             vacuum_interval: Some(EngineConfig::DEFAULT_VACUUM_INTERVAL),
-            shards: 1,
         }
     }
 }
@@ -412,12 +396,6 @@ impl CommitHooks for LearnerHooks {
     fn on_install(&self, ts: Ts, ops: &[TableOp]) {
         self.follower.log(ts, ops);
     }
-
-    // The learner log is a totally ordered stream; sharded commits must
-    // deliver through the sequencer.
-    fn ordered_install(&self) -> bool {
-        true
-    }
 }
 
 /// A consensus-commit row store with an asynchronous columnar learner.
@@ -457,8 +435,6 @@ impl LearnerEngine {
                 // Durability is paid inside the consensus rounds.
                 durability: crate::api::DurabilityMode::Off,
                 vacuum_interval: config.vacuum_interval,
-                shards: config.shards.max(1),
-                ..EngineConfig::default()
             },
             hooks,
         );

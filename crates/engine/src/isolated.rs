@@ -157,10 +157,10 @@ impl Replay for Standby {
         for op in &record.ops {
             match op {
                 TableOp::Insert { table, rid, row } => {
-                    // Gapped: the log is timestamp-ordered, but at
-                    // shards > 1 rid allocation interleaves across
-                    // shards, so a later-ts record can carry an earlier
-                    // rid.
+                    // Land the row at the primary's logged rid. The
+                    // primary allocates rids in commit-ts order, so this
+                    // is normally the next free slot; the gapped install
+                    // just does not depend on it.
                     self.db
                         .store(*table)
                         .install_insert_gapped(*rid, Arc::clone(row), record.commit_ts)
@@ -189,12 +189,6 @@ struct PrimaryHooks {
 impl CommitHooks for PrimaryHooks {
     fn on_install(&self, ts: Ts, ops: &[TableOp]) {
         self.follower.log(ts, ops);
-    }
-
-    // The shipped WAL is a totally ordered stream the standby replays
-    // sequentially; sharded commits must deliver through the sequencer.
-    fn ordered_install(&self) -> bool {
-        true
     }
 
     fn post_commit(&self, ts: Ts) -> hat_common::Result<()> {

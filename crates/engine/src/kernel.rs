@@ -1,13 +1,12 @@
-//! The sharded row-store transaction kernel shared by every engine.
+//! The row-store transaction kernel shared by every engine.
 //!
-//! [`RowKernel`] combines a [`RowDb`], a sharded timestamp oracle, a
-//! sharded lock table, and an [`IndexSet`] into a complete transactional
-//! engine: sessions buffer writes, acquire no-wait row locks, and install
-//! at commit inside the commit critical section of every shard their
-//! write set routes to. A single-shard write set commits entirely under
-//! its home shard's lock; a cross-shard write set pays a degenerate
-//! two-phase commit (all participant mutexes, one common timestamp, one
-//! redo record on the coordinator's WAL stream). Engines differ in the
+//! [`RowKernel`] combines a [`RowDb`], one timestamp oracle, one lock
+//! table, one durability layer, and an [`IndexSet`] into a complete
+//! transactional engine: sessions buffer writes, acquire no-wait row
+//! locks, and install at commit inside the oracle's single commit critical
+//! section. That section also delivers [`CommitHooks::on_install`] and
+//! appends the redo record, so the hook stream and the WAL are both in
+//! commit-timestamp order by construction. Engines differ in the
 //! [`CommitHooks`] they attach (WAL shipping, columnar delta append,
 //! consensus latency) and in where their analytical queries read — the
 //! kernel itself is the "primary node" of all four designs.
@@ -24,17 +23,15 @@ use hat_storage::bptree::BPlusTree;
 use hat_storage::dwal::{CheckpointData, TableCheckpoint, WalRecovery};
 use hat_storage::rowstore::{PruneStats, RowDb, RowId, RowStore};
 use hat_storage::wal::TableOp;
-use hat_txn::locks::OwnerId;
 use hat_txn::{
-    InstallSequencer, LockKey, LockManager, ShardRouter, ShardedOracle,
-    SnapshotGuard, SnapshotRegistry, Ts, TxnCtx, WriteOp, LOAD_TS,
+    LockManager, SnapshotGuard, SnapshotRegistry, Ts, TsOracle, TxnCtx, WriteOp, LOAD_TS,
 };
 use parking_lot::RwLock;
 
 use crate::api::{
     CommitReceipt, EngineConfig, InDoubtCause, IndexProfile, NamedIndex, Session,
 };
-use crate::durability::ShardedDurability;
+use crate::durability::DurabilityLayer;
 
 /// Hooks an engine attaches to the kernel's commit path.
 pub trait CommitHooks: Send + Sync {
@@ -53,16 +50,6 @@ pub trait CommitHooks: Send + Sync {
     /// writes are installed and the record must reach the log.
     fn on_install(&self, _ts: Ts, _ops: &[TableOp]) {}
 
-    /// Whether [`CommitHooks::on_install`] must be delivered in global
-    /// commit-timestamp order. Hooks that ship a totally ordered stream
-    /// (replication WAL, columnar delta, learner log) return `true`, and
-    /// the kernel routes their deliveries through an
-    /// [`InstallSequencer`]; hook-free kernels skip the sequencer and
-    /// shards commit fully independently.
-    fn ordered_install(&self) -> bool {
-        false
-    }
-
     /// Runs after the critical section is released — synchronous
     /// replication waits live here so they don't serialize other commits.
     ///
@@ -74,50 +61,6 @@ pub trait CommitHooks: Send + Sync {
     /// the commit.
     fn post_commit(&self, _ts: Ts) -> Result<()> {
         Ok(())
-    }
-}
-
-/// Per-shard row locks: one [`LockManager`] stripe per commit shard,
-/// routed by the same hash as the commit shards themselves, so a row's
-/// lock stripe and commit shard always agree.
-pub struct ShardedLocks {
-    router: ShardRouter,
-    stripes: Vec<LockManager>,
-}
-
-impl ShardedLocks {
-    fn new(shards: u32) -> Self {
-        ShardedLocks {
-            router: ShardRouter::new(shards),
-            stripes: (0..shards.max(1)).map(|_| LockManager::new()).collect(),
-        }
-    }
-
-    #[inline]
-    fn stripe(&self, key: &LockKey) -> &LockManager {
-        &self.stripes[self.router.route(key.0, key.1)]
-    }
-
-    /// See [`LockManager::try_lock`].
-    pub fn try_lock(&self, key: LockKey, owner: OwnerId) -> Result<()> {
-        self.stripe(&key).try_lock(key, owner)
-    }
-
-    /// Releases every lock in `keys` held by `owner`.
-    pub fn unlock_all(&self, keys: &[LockKey], owner: OwnerId) {
-        for key in keys {
-            self.stripe(key).unlock(*key, owner);
-        }
-    }
-
-    /// See [`LockManager::held_by_other`].
-    pub fn held_by_other(&self, key: &LockKey, owner: OwnerId) -> bool {
-        self.stripe(key).held_by_other(key, owner)
-    }
-
-    /// Locks currently held across all stripes (test/diagnostic helper).
-    pub fn held_count(&self) -> usize {
-        self.stripes.iter().map(|s| s.held_count()).sum()
     }
 }
 
@@ -313,10 +256,6 @@ pub struct KernelStats {
     /// Commits whose synchronous replication wait timed out
     /// (committed-in-doubt outcomes). A subset of `commits`.
     pub replication_timeouts: Arc<Counter>,
-    /// Commits whose write set spanned more than one commit shard (each
-    /// paid the cross-shard 2PC round). A subset of `commits`; zero at
-    /// `shards = 1` and on shard-local workloads.
-    pub xshard_commits: Arc<Counter>,
     /// Fact-table morsels scanned by analytical probes.
     pub morsels_scanned: Arc<Counter>,
     /// Morsels pruned via date zone maps.
@@ -364,7 +303,6 @@ impl Default for KernelStats {
             aborts: registry.counter(names::TXN_ABORTS),
             queries: registry.counter(names::QUERIES),
             replication_timeouts: registry.counter(names::TXN_REPL_TIMEOUTS),
-            xshard_commits: registry.counter(names::TXN_XSHARD_COMMITS),
             morsels_scanned: registry.counter(names::MORSELS_SCANNED),
             morsels_pruned: registry.counter(names::MORSELS_PRUNED),
             scan_batches: registry.counter(names::SCAN_BATCHES),
@@ -404,37 +342,20 @@ impl KernelStats {
     }
 }
 
-/// Per-shard commit counters, registered in the kernel's registry under
-/// `txn.shard{N}.*` so they flow through [`RowKernel::metrics`].
-struct ShardCounters {
-    /// Commits coordinated by this shard.
-    commits: Arc<Counter>,
-    /// Cross-shard commits this shard participated in.
-    xshard_commits: Arc<Counter>,
-}
-
-/// The transactional core of an engine, hash-sharded across
-/// [`EngineConfig::shards`] commit shards.
+/// The transactional core of an engine.
 pub struct RowKernel {
     pub db: RowDb,
-    /// Per-shard commit critical sections behind one global visibility
-    /// horizon. `read_ts`/`advance_to`/`begin_commit` keep the old
-    /// single-oracle surface for engines and tests.
-    pub oracle: ShardedOracle,
-    /// Routes `(table, rid)` to its home commit shard.
-    router: ShardRouter,
-    /// Per-shard row-lock stripes (same routing as the oracle).
-    pub locks: ShardedLocks,
+    /// The one commit critical section and visibility horizon.
+    pub oracle: TsOracle,
+    /// The one row-lock table.
+    pub locks: LockManager,
     pub indexes: IndexSet,
     pub config: EngineConfig,
     pub stats: KernelStats,
-    /// Per-shard durability: each shard owns its own group-commit queue
-    /// and (under `Fsync`) WAL stream. Engines reach through
-    /// [`ShardedDurability::wal`] (shard 0, the checkpoint-bearing
-    /// stream) for checkpoints, crash injection, and counters.
-    pub durability: ShardedDurability,
-    /// Per-shard commit counters (`txn.shard{N}.*`).
-    shard_counters: Vec<ShardCounters>,
+    /// The commit group-commit queue and (under `Fsync`) the WAL stream.
+    /// Engines reach through [`DurabilityLayer::wal`] for checkpoints,
+    /// crash injection, and counters.
+    pub durability: DurabilityLayer,
     /// Active snapshots against this kernel's row store: every session
     /// and every analytical query that reads the primary holds a guard
     /// here, and [`RowKernel::vacuum_pass`] prunes below their minimum.
@@ -444,10 +365,6 @@ pub struct RowKernel {
     /// keeps every version the on-disk image hasn't caught up to.
     last_checkpoint_ts: AtomicU64,
     hooks: Arc<dyn CommitHooks>,
-    /// Engaged when the hooks demand timestamp-ordered `on_install`
-    /// delivery; `None` for hook-free kernels, which then commit with no
-    /// cross-shard coordination at all.
-    sequencer: Option<InstallSequencer>,
     /// Slot counts per table recorded at `finish_load`, for reset.
     loaded_counts: RwLock<Vec<u64>>,
 }
@@ -472,210 +389,86 @@ impl RowKernel {
 
     /// A kernel with engine-specific commit hooks. In
     /// [`DurabilityMode::Fsync`](crate::api::DurabilityMode) this opens
-    /// every shard's WAL directory, replays any checkpoint + merged log
-    /// tails found there into the row store, and restores the timestamp
-    /// horizon — the kernel comes back exactly as of the last
-    /// acknowledged commit on every stream.
+    /// the WAL directory, replays any checkpoint + log tail found there
+    /// into the row store, and restores the timestamp horizon — the kernel
+    /// comes back exactly as of the last acknowledged commit.
     pub fn try_with_hooks(config: EngineConfig, hooks: Arc<dyn CommitHooks>) -> Result<Self> {
-        let shards = config.shards.max(1);
-        let (durability, recoveries) = ShardedDurability::open(&config.durability, shards)?;
-        let stats = KernelStats::default();
-        let shard_counters = (0..shards)
-            .map(|s| ShardCounters {
-                commits: stats.registry.counter(&format!("txn.shard{s}.commits")),
-                xshard_commits: stats
-                    .registry
-                    .counter(&format!("txn.shard{s}.xshard_commits")),
-            })
-            .collect();
-        let mut kernel = RowKernel {
+        let (durability, recovery) = DurabilityLayer::open(&config.durability)?;
+        let kernel = RowKernel {
             db: RowDb::new(),
-            oracle: ShardedOracle::new(shards),
-            router: ShardRouter::new(shards),
-            locks: ShardedLocks::new(shards),
+            oracle: TsOracle::new(),
+            locks: LockManager::new(),
             indexes: IndexSet::new(config.indexes),
             config,
-            stats,
+            stats: KernelStats::default(),
             durability,
-            shard_counters,
             snapshots: Arc::new(SnapshotRegistry::new()),
             last_checkpoint_ts: AtomicU64::new(0),
             hooks,
-            sequencer: None,
             loaded_counts: RwLock::new(vec![0; TableId::COUNT]),
         };
-        if recoveries.iter().any(Option::is_some) {
-            kernel.apply_recovery(&recoveries)?;
+        if let Some(recovery) = &recovery {
+            kernel.apply_recovery(recovery)?;
         }
-        kernel.sequencer = kernel
-            .hooks
-            .ordered_install()
-            .then(|| InstallSequencer::new(kernel.oracle.read_ts() + 1));
         Ok(kernel)
     }
 
-    /// The shard router (tests and workload generators use it to build
-    /// shard-local write sets).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// The sorted, deduplicated commit-shard set of a write set: updates
-    /// route by `(table, rid)` — the row's home shard — and inserts by
-    /// the row's first column (the natural-key prefix, so all lines of
-    /// one order land together). Recovery never needs this mapping: all
-    /// streams are merged and replayed by logged rid/timestamp.
-    fn participants(&self, writes: &[WriteOp]) -> Vec<usize> {
-        if self.router.shards() == 1 || writes.is_empty() {
-            return vec![0];
-        }
-        let mut set: Vec<usize> = writes
-            .iter()
-            .map(|op| match op {
-                WriteOp::Update { table, rid, .. } => self.router.route(*table, *rid),
-                WriteOp::Insert { table, row } => {
-                    self.router.route(*table, insert_route_key(row))
-                }
-            })
-            .collect();
-        set.sort_unstable();
-        set.dedup();
-        set
-    }
-
-    /// Passes an allocated-but-undelivered timestamp through the
-    /// sequencer so the ordered hook stream never wedges (aborts after
-    /// allocation, burned checkpoint timestamps).
-    fn sequencer_skip(&self, ts: Ts) {
-        if let Some(seq) = &self.sequencer {
-            seq.wait_turn(ts);
-            seq.advance(ts);
-        }
-    }
-
-    /// Rebuilds row-store state from what recovery found on disk. Shard
-    /// 0's stream carries the full data checkpoint (restored first, rows
-    /// at their original rids); the other shards' checkpoints are empty
-    /// markers used only for segment pruning. The WAL tails of *all*
-    /// shards are then merged: records at or below the checkpoint cut
-    /// are dropped (a crash between the shard-0 data checkpoint and the
-    /// markers leaves stale tails behind), inserts replay in rid order
-    /// with gap-filling (a rid acknowledged on one stream may neighbor a
-    /// lost, never-acknowledged rid from another), and updates replay in
-    /// timestamp order. A cross-shard commit's record lives *only* on
-    /// its coordinator's stream, so "durable there" is the whole
-    /// in-doubt resolution rule — every replay of the same directory
-    /// reaches the same verdict. Replayed timestamps feed
-    /// [`ShardedOracle::advance_to`] so new transactions snapshot past
-    /// everything recovered.
-    fn apply_recovery(&self, recoveries: &[Option<WalRecovery>]) -> Result<()> {
-        let baseline = recoveries[0]
-            .as_ref()
-            .and_then(|r| r.checkpoint.as_ref())
-            .map(|c| c.last_ts)
-            .unwrap_or(0);
-        if let Some(ckpt) = recoveries[0].as_ref().and_then(|r| r.checkpoint.as_ref()) {
+    /// Rebuilds row-store state from what recovery found on disk: the
+    /// checkpoint image first (rows at their original rids), then the WAL
+    /// tail in log order, which is commit-timestamp order. Records at or
+    /// below the checkpoint's timestamp are already in the image and are
+    /// skipped. The recovered horizon feeds [`TsOracle::advance_to`] so
+    /// new transactions snapshot past everything recovered.
+    fn apply_recovery(&self, recovery: &WalRecovery) -> Result<()> {
+        let mut baseline = 0;
+        if let Some(ckpt) = &recovery.checkpoint {
+            baseline = ckpt.last_ts;
             self.last_checkpoint_ts.store(ckpt.last_ts, Ordering::Release);
             for tc in &ckpt.tables {
                 let store = self.db.store(tc.table);
                 for (rid, ts, row) in &tc.rows {
-                    // Gapped install: the image may itself contain holes
-                    // left by an earlier gap-filling replay.
                     store.install_insert_gapped(*rid, Arc::clone(row), *ts)?;
                     self.indexes.index_row(tc.table, *rid, row);
                 }
             }
         }
-        let mut max_ts = baseline;
-        let mut inserts: Vec<(TableId, RowId, Ts, &Row)> = Vec::new();
-        let mut updates: Vec<(Ts, TableId, RowId, &Row)> = Vec::new();
-        for recovery in recoveries.iter().flatten() {
-            max_ts = max_ts.max(recovery.max_ts());
-            for rec in &recovery.tail {
-                if rec.commit_ts <= baseline {
-                    continue;
-                }
-                for op in &rec.ops {
-                    match op {
-                        TableOp::Insert { table, rid, row } => {
-                            inserts.push((*table, *rid, rec.commit_ts, row));
-                        }
-                        TableOp::Update { table, rid, row } => {
-                            updates.push((rec.commit_ts, *table, *rid, row));
-                        }
+        for rec in recovery.tail.iter().filter(|rec| rec.commit_ts > baseline) {
+            for op in &rec.ops {
+                match op {
+                    TableOp::Insert { table, rid, row } => {
+                        let store = self.db.store(*table);
+                        store.install_insert_gapped(*rid, Arc::clone(row), rec.commit_ts)?;
+                        self.indexes.index_row(*table, *rid, row);
+                    }
+                    TableOp::Update { table, rid, row } => {
+                        self.db
+                            .store(*table)
+                            .install_update(*rid, Arc::clone(row), rec.commit_ts)?;
                     }
                 }
             }
         }
-        inserts.sort_unstable_by_key(|(table, rid, _, _)| (table.index(), *rid));
-        for (table, rid, ts, row) in inserts {
-            let store = self.db.store(table);
-            store.install_insert_gapped(rid, Arc::clone(row), ts)?;
-            self.indexes.index_row(table, rid, row);
-        }
-        updates.sort_unstable_by_key(|(ts, table, rid, _)| (*ts, table.index(), *rid));
-        for (ts, table, rid, row) in updates {
-            let store = self.db.store(table);
-            if store.latest_ts(rid).is_some() {
-                store.install_update(rid, Arc::clone(row), ts)?;
-            } else {
-                // The row's insert was on another shard's stream and never
-                // became durable (its commit was never acknowledged), but
-                // this later update was. The update record carries the
-                // full row image, so installing it as the base version
-                // reproduces exactly the acknowledged state.
-                store.install_insert_gapped(rid, Arc::clone(row), ts)?;
-                self.indexes.index_row(table, rid, row);
-            }
-        }
-        self.oracle.advance_to(max_ts);
+        self.oracle.advance_to(recovery.max_ts());
         Ok(())
     }
 
-    /// Writes a checkpoint: a globally consistent cut `(ts, lsn_s per
-    /// shard)` plus a snapshot of every table at `ts`. Completed
-    /// checkpoints let recovery skip the log prefix and let sealed
-    /// segments below each shard's checkpoint LSN be deleted. No-op
-    /// unless durability is `Fsync`.
-    ///
-    /// Shard 0's stream carries the full data image, written *first*;
-    /// shards 1..N then get empty marker checkpoints `(lsn_s, ts)` for
-    /// segment pruning. A crash between the writes leaves the shard-0
-    /// baseline at or above every marker's cut, so the merged-tail
-    /// replay (filtered to `ts > baseline`) loses nothing.
+    /// Writes a checkpoint: an atomically chosen `(lsn, ts)` pair from the
+    /// WAL plus a snapshot of every table at `ts`. Completed checkpoints
+    /// let recovery skip the log prefix and let sealed segments below the
+    /// checkpoint LSN be deleted. No-op unless durability is `Fsync`.
     ///
     /// Call once after bulk load (so the base data is durable without
     /// logging it), then periodically.
     pub fn checkpoint(&self) -> Result<()> {
-        if self.durability.wal().is_none() {
-            return Ok(());
-        }
-        let shards = self.durability.shards();
-        let (ts, lsns) = if shards == 1 {
-            // (lsn, ts) are read atomically; appends happen in ts order
-            // inside the commit critical section, so "wal prefix <= lsn"
-            // is exactly "commits with commit_ts <= ts". LOAD_TS floors
-            // the snapshot so a checkpoint right after load captures the
-            // loaded rows.
-            let (lsn, wal_ts) = self.durability.wal().expect("checked").last_appended();
-            (wal_ts.max(LOAD_TS), vec![lsn])
-        } else {
-            // Quiesce: holding every shard's commit mutex, all commits
-            // below the burned timestamp have finished their appends, so
-            // each stream's current LSN covers exactly the cut.
-            let guard = self.oracle.begin_commit();
-            let cut = (guard.ts() - 1).max(LOAD_TS);
-            let lsns = (0..shards)
-                .map(|s| {
-                    self.durability.wal_for(s).map(|w| w.last_appended().0).unwrap_or(0)
-                })
-                .collect();
-            self.sequencer_skip(guard.ts());
-            guard.finish();
-            (cut, lsns)
-        };
-        // The scan runs outside the commit mutexes: MVCC reads at `ts`
-        // stay stable because vacuum is clamped at the *previous*
+        let Some(wal) = self.durability.wal() else { return Ok(()) };
+        // (lsn, ts) are read atomically; appends happen in ts order inside
+        // the commit critical section, so "wal prefix <= lsn" is exactly
+        // "commits with commit_ts <= ts". LOAD_TS floors the snapshot so a
+        // checkpoint right after load captures the loaded rows.
+        let (lsn, wal_ts) = wal.last_appended();
+        let ts = wal_ts.max(LOAD_TS);
+        // The scan runs outside the commit critical section: MVCC reads at
+        // `ts` stay stable because vacuum is clamped at the *previous*
         // checkpoint until this one lands.
         let mut tables = Vec::new();
         for t in TableId::ALL {
@@ -691,15 +484,7 @@ impl RowKernel {
                 tables.push(TableCheckpoint { table: t, rows });
             }
         }
-        self.durability
-            .wal_for(0)
-            .expect("checked")
-            .checkpoint(&CheckpointData { lsn: lsns[0], last_ts: ts, tables })?;
-        for (s, &lsn) in lsns.iter().enumerate().take(shards).skip(1) {
-            if let Some(wal) = self.durability.wal_for(s) {
-                wal.checkpoint(&CheckpointData { lsn, last_ts: ts, tables: Vec::new() })?;
-            }
-        }
+        wal.checkpoint(&CheckpointData { lsn, last_ts: ts, tables })?;
         // Only now is the image durable; release the vacuum clamp up to it.
         self.last_checkpoint_ts.store(ts, Ordering::Release);
         Ok(())
@@ -904,16 +689,6 @@ fn visible_version_ts(
     Some(if latest <= ts { latest } else { ts })
 }
 
-/// Routing key of an insert, whose rid is unknown until install: the
-/// row's leading column as an integer. Every SSB/CH table leads with its
-/// natural key (and every lineorder line of one order shares its
-/// orderkey), so one order's lines always land on one shard.
-fn insert_route_key(row: &Row) -> u64 {
-    row.first()
-        .and_then(|v| v.as_u64().ok().or_else(|| v.as_u32().ok().map(u64::from)))
-        .unwrap_or(0)
-}
-
 impl Session for KernelSession {
     fn lookup_u32(&mut self, index: NamedIndex, key: u32) -> Result<Option<(RowId, Row)>> {
         if self.ctx.is_closed() {
@@ -1066,13 +841,6 @@ impl Session for KernelSession {
             return Ok(CommitReceipt::acked(self.ctx.begin_snapshot().ts));
         }
 
-        // Route the write set: the sorted participant shard list, whose
-        // lowest member coordinates (its group-commit queue, its WAL
-        // stream). A shard-local write set never leaves its home shard's
-        // structures.
-        let participants = kernel.participants(self.ctx.writes());
-        let coordinator = participants[0];
-
         // Engine-specific pre-commit latency (consensus rounds). Nothing
         // is installed yet, so a failure here is a clean, retryable abort.
         if let Err(e) = kernel.hooks.pre_commit() {
@@ -1080,27 +848,23 @@ impl Session for KernelSession {
         }
 
         // Admission control: a degraded/quarantined WAL or a full
-        // group-commit backlog on the coordinator's stream sheds the
-        // commit here, *before* anything installs — a clean abort the
-        // client may retry, while reads and analytics keep serving from
-        // the in-memory store.
-        if let Err(e) = kernel.durability.admit(coordinator) {
+        // group-commit backlog sheds the commit here, *before* anything
+        // installs — a clean abort the client may retry, while reads and
+        // analytics keep serving from the in-memory store.
+        if let Err(e) = kernel.durability.admit() {
             return Err(self.abort_with(e));
         }
 
-        // Prepare: take every participant shard's commit mutex (ascending
-        // order — deadlock-free) and allocate one common commit
-        // timestamp. For a single-shard write set this is exactly the old
-        // single-mutex critical section, just on the home shard's stripe.
-        let guard = kernel.oracle.begin_commit_on(&participants);
+        // Enter the commit critical section and allocate the commit
+        // timestamp.
+        let guard = kernel.oracle.begin_commit();
         let commit_ts = guard.ts();
 
         // Serializable read validation inside the critical section. A read
         // is valid iff the version we observed is still the newest AND no
-        // concurrent transaction holds the row's write lock: a same-epoch
-        // committer on *another* shard may not have installed yet, but it
-        // has locked its write set, so `held_by_other` closes the
-        // cross-shard write-skew window (Silo-style).
+        // other transaction holds the row's write lock (Silo-style): the
+        // lock check also aborts against a writer that has locked the row
+        // but not yet entered the critical section.
         if self.ctx.isolation().validates_reads() {
             for entry in self.ctx.reads() {
                 let key = (entry.table, entry.rid);
@@ -1108,9 +872,7 @@ impl Session for KernelSession {
                 if latest != Some(entry.version_ts)
                     || kernel.locks.held_by_other(&key, self.ctx.id())
                 {
-                    // The allocated timestamp must still pass through the
-                    // ordered-install stream or later commits wedge.
-                    kernel.sequencer_skip(commit_ts);
+                    // Dropping the guard burns the timestamp.
                     drop(guard);
                     return Err(self.abort_with(HatError::SerializationFailure));
                 }
@@ -1160,27 +922,12 @@ impl Session for KernelSession {
                 }
             }
         }
-        // Ordered hook delivery: engines that ship a totally ordered
-        // stream (replication WAL, columnar delta, learner log) get
-        // `on_install` in global commit-ts order via the sequencer;
-        // hook-free kernels skip it and shards proceed independently.
-        if let Some(seq) = &kernel.sequencer {
-            seq.wait_turn(commit_ts);
-            kernel.hooks.on_install(commit_ts, &redo);
-            seq.advance(commit_ts);
-        } else {
-            kernel.hooks.on_install(commit_ts, &redo);
-        }
-        // Log inside the critical section so each stream's WAL order
-        // equals commit-ts order (recovery merges the streams by
-        // timestamp). The whole record — including the participant set —
-        // goes to the *coordinator's* stream only: "durable there" is the
-        // single source of truth a recovery consults to resolve an
-        // in-doubt cross-shard commit. The append only enqueues bytes;
-        // the expensive flush wait happens after unlock.
-        let participant_bytes: Vec<u8> = participants.iter().map(|&s| s as u8).collect();
-        let durability_token =
-            kernel.durability.log(coordinator, commit_ts, &redo, &participant_bytes);
+        // Hooks and the WAL append both run inside the critical section,
+        // so the hook stream (replication WAL, columnar delta, learner log)
+        // and the log are in commit-ts order. The append only enqueues
+        // bytes; the expensive flush wait happens after unlock.
+        kernel.hooks.on_install(commit_ts, &redo);
+        let durability_token = kernel.durability.log(commit_ts, &redo);
         guard.finish();
 
         kernel.locks.unlock_all(self.ctx.locks(), self.ctx.id());
@@ -1193,8 +940,7 @@ impl Session for KernelSession {
         // through the receipt — without counting the commit; recovery
         // decides its fate — and anything else propagates as the error it
         // is.
-        if let Err(e) = durability_token.and_then(|token| kernel.durability.wait(coordinator, token))
-        {
+        if let Err(e) = durability_token.and_then(|token| kernel.durability.wait(token)) {
             if e.is_commit_in_doubt() {
                 return Ok(CommitReceipt::in_doubt(commit_ts, InDoubtCause::Durability));
             }
@@ -1208,13 +954,6 @@ impl Session for KernelSession {
         // separately.
         let post = kernel.hooks.post_commit(commit_ts);
         kernel.stats.commits.inc();
-        kernel.shard_counters[coordinator].commits.inc();
-        if participants.len() > 1 {
-            kernel.stats.xshard_commits.inc();
-            for &s in &participants {
-                kernel.shard_counters[s].xshard_commits.inc();
-            }
-        }
         kernel.stats.commit_span.record(span.elapsed_nanos());
         if let Err(e) = post {
             debug_assert!(e.is_commit_in_doubt(), "post_commit errors must be in-doubt");
@@ -1547,6 +1286,87 @@ mod tests {
         let m = k.metrics();
         assert_eq!(m.counter(names::TXN_COMMITS), 1);
         assert_eq!(m.counter(names::TXN_ABORTS), 1);
+    }
+
+    /// Records every `on_install` timestamp in delivery order.
+    #[derive(Default)]
+    struct RecordingHooks {
+        delivered: parking_lot::Mutex<Vec<Ts>>,
+    }
+
+    impl CommitHooks for RecordingHooks {
+        fn on_install(&self, ts: Ts, _ops: &[TableOp]) {
+            self.delivered.lock().push(ts);
+        }
+    }
+
+    #[test]
+    fn on_install_is_delivered_in_commit_ts_order() {
+        // The dual delta and the log follower append `on_install` records
+        // as they arrive and rely on timestamp order. Four committers race
+        // on shared rows (serializable, so some fail validation after
+        // drawing a timestamp) and each forces one validation failure per
+        // round on rows of its own, so burned timestamps sit between
+        // delivered ones.
+        let hooks = Arc::new(RecordingHooks::default());
+        let k = Arc::new(RowKernel::with_hooks(
+            EngineConfig {
+                isolation: IsolationLevel::Serializable,
+                indexes: IndexProfile::All,
+                durability: crate::api::DurabilityMode::Off,
+                ..EngineConfig::default()
+            },
+            Arc::clone(&hooks) as Arc<dyn CommitHooks>,
+        ));
+        load_customers(&k, 12);
+        let update = |s: &mut KernelSession, ck: u32| -> Result<()> {
+            let (rid, row) = s.lookup_u32(NamedIndex::CustomerPk, ck)?.expect("customer");
+            s.update(TableId::Customer, rid, row)
+        };
+        let committed: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u32)
+                .map(|w| {
+                    let k = &k;
+                    scope.spawn(move || {
+                        let (own_read, own_write) = (5 + 2 * w, 6 + 2 * w);
+                        let mut committed = 0u64;
+                        for round in 0..50u32 {
+                            // Shared rows 1..=4: read one, write another.
+                            let mut s = k.begin_session();
+                            let read = s.lookup_u32(NamedIndex::CustomerPk, 1 + (round + w) % 4);
+                            let outcome = read.and_then(|_| update(&mut s, 1 + (round + w + 1) % 4));
+                            match outcome.and_then(|()| Box::new(s).commit()) {
+                                Ok(_) => committed += 1,
+                                Err(e) => assert!(e.is_retryable(), "{e}"),
+                            }
+                            // Forced failure: `stale` reads a row another
+                            // session then rewrites, so its commit draws a
+                            // timestamp and fails validation.
+                            let mut stale = k.begin_session();
+                            stale.lookup_u32(NamedIndex::CustomerPk, own_read).unwrap();
+                            let mut rewrite = k.begin_session();
+                            update(&mut rewrite, own_read).unwrap();
+                            assert!(Box::new(rewrite).commit().unwrap().is_acked());
+                            committed += 1;
+                            update(&mut stale, own_write).unwrap();
+                            let err = Box::new(stale).commit().unwrap_err();
+                            assert_eq!(err, HatError::SerializationFailure);
+                        }
+                        committed
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let delivered = hooks.delivered.lock();
+        assert_eq!(delivered.len() as u64, committed.iter().sum::<u64>(), "one delivery per commit");
+        assert!(
+            delivered.windows(2).all(|w| w[0] < w[1]),
+            "on_install timestamps must be strictly increasing"
+        );
+        // 200 forced failures each burned a timestamp between deliveries.
+        let drawn = k.oracle.read_ts() - LOAD_TS;
+        assert!(drawn >= delivered.len() as u64 + 200, "{drawn} timestamps drawn");
     }
 
     /// Minimal typed lineorder row for kernel tests.

@@ -474,14 +474,6 @@ pub struct RecoveredRecord {
     pub lsn: Lsn,
     pub commit_ts: Ts,
     pub ops: Vec<TableOp>,
-    /// Commit shards the transaction touched (empty = single-shard commit
-    /// on the stream's own shard). A cross-shard record is logged **only**
-    /// on its coordinator's stream, so recovery resolves an in-doubt 2PC
-    /// commit by one deterministic rule: committed iff the record is
-    /// durable in the coordinator's WAL. The participant set makes the
-    /// decision auditable and lets the recovery merge assert that the
-    /// record's ops never appear on a second stream.
-    pub participants: Vec<u8>,
 }
 
 /// Snapshot of one table store inside a checkpoint: `(rid, version_ts,
@@ -536,7 +528,7 @@ pub struct DurableWalStats {
     pub fsyncs: u64,
     /// Highest LSN guaranteed on disk.
     pub durable_lsn: Lsn,
-    /// Records-per-fsync distribution (mergeable across runs and shards).
+    /// Records-per-fsync distribution (mergeable across runs).
     pub group_commit_batches: HistogramSnapshot,
     /// Records replayed from the WAL tail at open.
     pub recovery_replayed_records: u64,
@@ -641,16 +633,8 @@ fn encode_row(buf: &mut Vec<u8>, row: &Row) {
     }
 }
 
-/// Serializes one commit record's payload (without framing). The
-/// participant set (2PC: every commit shard the transaction touched) is a
-/// trailing section so single-shard streams pay one byte and pre-shard
-/// records (no trailing bytes) decode as participant-free.
-fn encode_record_payload(
-    lsn: Lsn,
-    commit_ts: Ts,
-    ops: &[TableOp],
-    participants: &[u8],
-) -> Vec<u8> {
+/// Serializes one commit record's payload (without framing).
+fn encode_record_payload(lsn: Lsn, commit_ts: Ts, ops: &[TableOp]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 * ops.len().max(1));
     put_u64(&mut buf, lsn);
     put_u64(&mut buf, commit_ts);
@@ -665,8 +649,6 @@ fn encode_record_payload(
         put_u64(&mut buf, *rid);
         encode_row(&mut buf, row);
     }
-    buf.push(participants.len() as u8);
-    buf.extend_from_slice(participants);
     buf
 }
 
@@ -805,17 +787,10 @@ fn decode_record_payload(payload: &[u8]) -> Result<RecoveredRecord> {
             t => return Err(corrupt(format!("unknown op tag {t}"))),
         });
     }
-    // Trailing participant-set section; absent on pre-shard records.
-    let participants = if r.remaining() == 0 {
-        Vec::new()
-    } else {
-        let n = r.u8()? as usize;
-        r.take(n)?.to_vec()
-    };
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after record payload"));
     }
-    Ok(RecoveredRecord { lsn, commit_ts, ops, participants })
+    Ok(RecoveredRecord { lsn, commit_ts, ops })
 }
 
 fn encode_checkpoint_body(data: &CheckpointData) -> Vec<u8> {
@@ -1057,20 +1032,6 @@ impl DurableWal {
     /// commit-timestamp order. The record is **not** durable until
     /// [`DurableWal::wait_durable`] returns for it.
     pub fn append(&self, commit_ts: Ts, ops: &[TableOp]) -> Result<Lsn> {
-        self.append_with(commit_ts, ops, &[])
-    }
-
-    /// [`DurableWal::append`] carrying a 2PC participant set: the commit
-    /// shards the transaction touched. A cross-shard commit appends one
-    /// record — ops of *all* participants — to its coordinator's stream
-    /// only, which is the whole in-doubt resolution protocol (see
-    /// [`RecoveredRecord::participants`]).
-    pub fn append_with(
-        &self,
-        commit_ts: Ts,
-        ops: &[TableOp],
-        participants: &[u8],
-    ) -> Result<Lsn> {
         let mut st = self.inner.state.lock();
         if st.crashed {
             return Err(HatError::EngineStopped);
@@ -1078,7 +1039,7 @@ impl DurableWal {
         let lsn = st.next_lsn;
         st.next_lsn += 1;
         st.last_appended = (lsn, commit_ts);
-        let frame = encode_frame(&encode_record_payload(lsn, commit_ts, ops, participants));
+        let frame = encode_frame(&encode_record_payload(lsn, commit_ts, ops));
         st.pending.push((lsn, frame));
         self.inner.work.notify_one();
         Ok(lsn)
@@ -2011,11 +1972,10 @@ mod tests {
     #[test]
     fn record_roundtrip_preserves_all_value_types() {
         let ops = vec![op(1), TableOp::Update { table: TableId::Supplier, rid: 3, row: row_from([Value::U32(9)]) }];
-        let payload = encode_record_payload(42, 17, &ops, &[0, 2]);
+        let payload = encode_record_payload(42, 17, &ops);
         let rec = decode_record_payload(&payload).unwrap();
         assert_eq!(rec.lsn, 42);
         assert_eq!(rec.commit_ts, 17);
-        assert_eq!(rec.participants, vec![0, 2]);
         assert_eq!(rec.ops.len(), 2);
         match &rec.ops[0] {
             TableOp::Insert { table, rid, row } => {

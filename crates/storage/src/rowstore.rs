@@ -196,11 +196,10 @@ impl RowStore {
     }
 
     /// Recovery-side insert at an exact row id, tolerating allocation
-    /// gaps. Per-shard WALs ack commits independently, so a crash can
-    /// durably record rid `r+1` (coordinator flushed) while rid `r`'s
-    /// commit — never acknowledged — is lost with its shard's tail. Replay
-    /// then needs to land `r+1` at its logged id, leaving `r` an empty
-    /// slot forever: readers and scans already skip empty slots, and the
+    /// gaps. Rids are allocated inside the commit critical section, so a
+    /// log replayed in order normally lands each insert at the next free
+    /// id. Replay does not rely on that: an id it never sees stays an
+    /// empty slot forever, which readers and scans already skip, and the
     /// vacuum's index sweep unhooks any index entry pointing at one.
     pub fn install_insert_gapped(&self, rid: RowId, row: Row, ts: Ts) -> Result<()> {
         let mut cur = self.count.load(Ordering::Acquire);

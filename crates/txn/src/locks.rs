@@ -1,4 +1,4 @@
-//! Sharded per-row write locks under a no-wait conflict policy.
+//! Per-row write locks under a no-wait conflict policy.
 //!
 //! Writers lock each row before buffering an update. A conflicting
 //! acquisition aborts immediately (first-updater-wins), which is
@@ -6,7 +6,9 @@
 //! fresh inputs. Contention shows up as aborts, the signal the
 //! small-scale-factor experiments in the paper rely on (§6.2).
 //!
-//! The table is sharded to keep lock acquisition cheap under concurrency.
+//! The kernel holds one [`LockManager`]. Its map is striped across
+//! internal mutexes by key hash to keep lock acquisition cheap under
+//! concurrency.
 
 use std::collections::HashMap;
 
@@ -19,11 +21,11 @@ pub type LockKey = (TableId, u64);
 /// Transaction identifier used as lock owner.
 pub type OwnerId = u64;
 
-const SHARD_COUNT: usize = 64;
+const STRIPES: usize = 64;
 
-/// A sharded row-lock table.
+/// A striped row-lock table.
 pub struct LockManager {
-    shards: Vec<Mutex<HashMap<LockKey, OwnerId>>>,
+    stripes: Vec<Mutex<HashMap<LockKey, OwnerId>>>,
 }
 
 impl std::fmt::Debug for LockManager {
@@ -35,17 +37,17 @@ impl std::fmt::Debug for LockManager {
 impl LockManager {
     /// Creates an empty lock table.
     pub fn new() -> Self {
-        LockManager { shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect() }
+        LockManager { stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect() }
     }
 
     #[inline]
-    fn shard(&self, key: &LockKey) -> &Mutex<HashMap<LockKey, OwnerId>> {
+    fn stripe(&self, key: &LockKey) -> &Mutex<HashMap<LockKey, OwnerId>> {
         // Cheap multiplicative hash over (table, rid).
         let h = (key.0.index() as u64)
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add(key.1)
             .wrapping_mul(0xD1B54A32D192ED03);
-        &self.shards[(h >> 32) as usize % SHARD_COUNT]
+        &self.stripes[(h >> 32) as usize % STRIPES]
     }
 
     /// Attempts to acquire a write lock on `key` for `owner`.
@@ -53,7 +55,7 @@ impl LockManager {
     /// Re-acquisition by the same owner succeeds (and is idempotent). A
     /// lock held by another owner returns [`HatError::WriteConflict`].
     pub fn try_lock(&self, key: LockKey, owner: OwnerId) -> Result<()> {
-        let mut held = self.shard(&key).lock();
+        let mut held = self.stripe(&key).lock();
         match held.get(&key) {
             None => {
                 held.insert(key, owner);
@@ -66,7 +68,7 @@ impl LockManager {
 
     /// Releases one lock if held by `owner`.
     pub fn unlock(&self, key: LockKey, owner: OwnerId) {
-        let mut held = self.shard(&key).lock();
+        let mut held = self.stripe(&key).lock();
         if held.get(&key) == Some(&owner) {
             held.remove(&key);
         }
@@ -80,19 +82,19 @@ impl LockManager {
     }
 
     /// Whether `key` is currently write-locked by a transaction other
-    /// than `owner`. Serializable validation uses this as the Silo-style
+    /// than `owner`. Serializable validation uses this as a Silo-style
     /// second check: a read is valid only if the row's version is
-    /// unchanged *and* no concurrent writer holds its lock — without it,
-    /// two cross-shard committers could validate stale reads of each
-    /// other's still-uninstalled writes (write skew).
+    /// unchanged *and* no concurrent writer holds its lock, so a reader
+    /// also aborts against a writer that has locked the row but not yet
+    /// reached the commit critical section.
     pub fn held_by_other(&self, key: &LockKey, owner: OwnerId) -> bool {
-        self.shard(key).lock().get(key).is_some_and(|h| *h != owner)
+        self.stripe(key).lock().get(key).is_some_and(|h| *h != owner)
     }
 
     /// Number of locks currently held (test/diagnostic helper; takes every
-    /// shard lock).
+    /// stripe lock).
     pub fn held_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.stripes.iter().map(|s| s.lock().len()).sum()
     }
 }
 

@@ -9,10 +9,14 @@
 //!
 //! This mirrors the commit serialization points of real systems (PostgreSQL
 //! advances its visibility horizon under `ProcArrayLock`; Hekaton finalizes
-//! versions through an atomic commit-record step). The critical section only
-//! covers version *installation* (a handful of pointer writes), not
-//! transaction logic, so it is short — but it is a genuine shared resource
-//! that contributes to the T-vs-T interference the benchmark measures.
+//! versions through an atomic commit-record step). The kernel runs every
+//! commit of every engine through one `TsOracle`, so the same mutex also
+//! orders what the kernel does inside it: commit hooks see `on_install` in
+//! timestamp order and the WAL's append order is timestamp order. The
+//! critical section only covers validation, version *installation* (a
+//! handful of pointer writes) and those appends, not transaction logic,
+//! so it is short — but it is a genuine shared resource that contributes
+//! to the T-vs-T interference the benchmark measures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

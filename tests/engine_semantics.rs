@@ -67,6 +67,39 @@ fn every_engine_reports_commits_and_queries_by_name() {
 }
 
 #[test]
+fn group_commit_histogram_counts_every_flush_and_commit() {
+    // Under `Sleep` every simulated flush records one batch, so the batch
+    // histogram counts exactly the flushes and its batch sizes add up to
+    // the commits, also when two committers share flushes.
+    let data = common::small_data();
+    let engine = ShdEngine::new(
+        EngineConfig::builder()
+            .durability(DurabilityMode::Sleep(Duration::from_micros(200)))
+            .build(),
+    );
+    data.load_into(&engine).unwrap();
+    std::thread::scope(|scope| {
+        for custkey in [1u32, 2] {
+            let engine = &engine;
+            scope.spawn(move || {
+                for _ in 0..8 {
+                    let mut s = engine.begin();
+                    let (rid, row) =
+                        s.lookup_u32(NamedIndex::CustomerPk, custkey).unwrap().unwrap();
+                    s.update(TableId::Customer, rid, row).unwrap();
+                    assert!(s.commit().unwrap().is_acked());
+                }
+            });
+        }
+    });
+    let m = engine.metrics();
+    assert_eq!(m.counter(names::TXN_COMMITS), 16);
+    let batches = m.histogram(names::WAL_GROUP_COMMIT_BATCH).expect("batch histogram");
+    assert_eq!(batches.count, m.counter(names::WAL_FSYNCS), "one batch per flush");
+    assert_eq!(batches.sum, m.counter(names::TXN_COMMITS), "every commit rode one flush");
+}
+
+#[test]
 fn every_engine_drops_promptly_despite_a_long_vacuum_interval() {
     // Background loops sleep on a stop signal, not a plain sleep: dropping
     // an engine must not wait out a 30 s vacuum interval.

@@ -1,17 +1,20 @@
 //! Concurrency invariants, checked end-to-end on every engine: money
 //! conservation under concurrent Payments, payment-count accounting,
-//! order integrity under concurrent New Orders, and reset round-trips.
+//! order integrity under concurrent New Orders, snapshot atomicity of a
+//! two-row transfer, and reset round-trips.
 
 mod common;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hattrick_repro::bench::workload::{run_transaction, TxnKind, TxnMix, WorkloadState};
 use hattrick_repro::common::ids::{customer, lineorder, supplier, TableId};
 use hattrick_repro::common::rng::HatRng;
-use hattrick_repro::common::Money;
-use hattrick_repro::engine::{HtapEngine, QueryOpts};
+use hattrick_repro::common::value::{row_from, row_with};
+use hattrick_repro::common::{Money, Value};
+use hattrick_repro::engine::{HtapEngine, NamedIndex, QueryOpts};
 use hattrick_repro::query::predicate::Predicate;
 use hattrick_repro::query::spec::{AggExpr, GroupKey, QueryId, QuerySpec};
 
@@ -190,6 +193,80 @@ fn concurrent_mixed_workload_preserves_order_integrity() {
                 "{name}: line number {line_no} out of range"
             );
         }
+    }
+}
+
+/// Supplier `suppkey`'s YTD in cents, read inside `session`.
+fn supplier_ytd(session: &mut dyn hattrick_repro::engine::Session, suppkey: u32) -> i64 {
+    let (_, row) = session.lookup_u32(NamedIndex::SupplierPk, suppkey).unwrap().expect("supplier");
+    row[supplier::YTD].as_money().unwrap().cents()
+}
+
+#[test]
+fn no_snapshot_observes_half_a_transaction_on_every_engine() {
+    for (name, engine) in common::all_engines() {
+        let suppliers = (1..=2u32).map(|k| {
+            row_from([
+                Value::U32(k),
+                Value::from(format!("Supplier#{k:09}")),
+                Value::from("addr"),
+                Value::from("CITY0"),
+                Value::from("CHINA"),
+                Value::from("ASIA"),
+                Value::from("phone"),
+                Value::Money(Money::ZERO),
+            ])
+        });
+        engine.load(TableId::Supplier, &mut suppliers.into_iter()).unwrap();
+        engine.finish_load().unwrap();
+        let stop = AtomicBool::new(false);
+        let transfers = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            // Writer: move money from supplier 1 to supplier 2 and back,
+            // both legs in one transaction, so YTD(1) + YTD(2) == 0 in
+            // every committed state.
+            scope.spawn(|| {
+                let mut n = 0i64;
+                while !stop.load(Ordering::Relaxed) {
+                    let delta = if n % 2 == 0 { 7 } else { -7 };
+                    n += 1;
+                    let mut s = engine.begin();
+                    for (suppkey, leg) in [(1u32, delta), (2, -delta)] {
+                        let (rid, row) =
+                            s.lookup_u32(NamedIndex::SupplierPk, suppkey).unwrap().expect("supplier");
+                        let ytd = row[supplier::YTD].as_money().unwrap();
+                        let moved = Value::Money(ytd + Money::from_cents(leg));
+                        s.update(TableId::Supplier, rid, row_with(&row, supplier::YTD, moved))
+                            .unwrap();
+                    }
+                    match s.commit() {
+                        Ok(receipt) => {
+                            assert!(receipt.is_acked(), "{name}: transfer not acked");
+                            transfers.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => assert!(e.is_retryable(), "{name}: {e}"),
+                    }
+                }
+            });
+            // Readers: both rows inside one snapshot. A snapshot that saw
+            // one leg installed and the other not would read a nonzero sum.
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut observed = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        let mut s = engine.begin();
+                        let sum = supplier_ytd(s.as_mut(), 1) + supplier_ytd(s.as_mut(), 2);
+                        assert_eq!(sum, 0, "{name}: a snapshot observed half a transfer");
+                        s.abort();
+                        observed += 1;
+                    }
+                    assert!(observed > 0, "{name}: reader never ran");
+                });
+            }
+            std::thread::sleep(Duration::from_millis(150));
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(transfers.load(Ordering::Relaxed) > 0, "{name}: writer never committed");
     }
 }
 
