@@ -175,7 +175,7 @@ impl Args {
         self.pairs
             .iter()
             .find(|(k, _)| !accepted.contains(&k.as_str()))
-            .map(|(k, _)| format!("{}{k}", if k.len() == 1 { "-" } else { "--" }))
+            .map(|(k, _)| flag(k))
             .or_else(|| self.positional.first().cloned())
     }
 
@@ -186,17 +186,41 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The parsed value of the first of `names` given, or `default` when
+    /// none is. A malformed value is an error naming the flag, never the
+    /// default in disguise.
+    fn value<T: std::str::FromStr>(&self, names: &[&str], default: T) -> Result<T, String> {
+        match self.pairs.iter().find(|(k, _)| names.contains(&k.as_str())) {
+            None => Ok(default),
+            Some((k, v)) => v.parse().map_err(|_| format!("bad value {v:?} for {}", flag(k))),
+        }
+    }
+
+    /// [`Args::value`], printing usage and exiting 2 on a malformed value
+    /// (as an unknown flag does).
+    fn num<T: std::str::FromStr>(&self, names: &[&str], default: T) -> T {
+        self.value(names, default).unwrap_or_else(|bad| {
+            eprintln!("{bad}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
     fn f64(&self, names: &[&str], default: f64) -> f64 {
-        self.get(names).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.num(names, default)
     }
 
     fn u32(&self, names: &[&str], default: u32) -> u32 {
-        self.get(names).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.num(names, default)
     }
 
     fn has(&self, name: &str) -> bool {
         self.pairs.iter().any(|(k, _)| k == name)
     }
+}
+
+/// A flag key as written on the command line.
+fn flag(key: &str) -> String {
+    format!("{}{key}", if key.len() == 1 { "-" } else { "--" })
 }
 
 /// Parses `--durability off|sleep|fsync` (default: sleep, the benchmark
@@ -207,15 +231,15 @@ impl Args {
 ///
 /// Two chaos knobs ride along and require `--durability fsync`:
 /// `--disk-faults <seed>` arms a seeded [`DiskFaultPlan`] against the WAL
-/// (transient EIO, fsync failures, ENOSPC windows, write stalls), and
-/// `--max-commit-backlog <frames>` bounds the group-commit queue so a
-/// degraded device sheds commits instead of buffering without limit.
+/// (EIO, fsync failures, ENOSPC windows, write stalls; the first failed
+/// write or fsync stops the WAL's writes until the directory is
+/// reopened), and `--max-commit-backlog <frames>` bounds the group-commit
+/// queue so a slow device sheds commits instead of buffering without
+/// limit.
 fn parse_durability(args: &Args) -> Option<DurabilityMode> {
-    let fault_seed = args.get(&["disk-faults"]).map(|v| v.parse::<u64>());
-    let max_backlog = args.get(&["max-commit-backlog"]).map(|v| v.parse::<usize>());
     Some(match args.get(&["durability"]) {
         None | Some("sleep") | Some("off") => {
-            if fault_seed.is_some() || max_backlog.is_some() {
+            if args.has("disk-faults") || args.has("max-commit-backlog") {
                 eprintln!(
                     "--disk-faults / --max-commit-backlog need a real WAL; \
                      add --durability fsync"
@@ -236,21 +260,12 @@ fn parse_durability(args: &Args) -> Option<DurabilityMode> {
             };
             eprintln!("durability: fsync WAL in {}", dir.display());
             let mut config = WalConfig::new(dir);
-            if let Some(parsed) = fault_seed {
-                let Ok(seed) = parsed else {
-                    eprintln!("bad --disk-faults; expected a u64 seed");
-                    return None;
-                };
+            if args.has("disk-faults") {
+                let seed = args.num(&["disk-faults"], 0u64);
                 eprintln!("disk chaos: fault plan seeded with {seed}");
                 config.fault_plan = DiskFaultPlan::seeded(seed);
             }
-            if let Some(parsed) = max_backlog {
-                let Ok(frames) = parsed else {
-                    eprintln!("bad --max-commit-backlog; expected a frame count");
-                    return None;
-                };
-                config.max_backlog = frames;
-            }
+            config.max_backlog = args.num(&["max-commit-backlog"], config.max_backlog);
             DurabilityMode::Fsync(config)
         }
         Some(other) => {
@@ -269,10 +284,8 @@ fn parse_vacuum(args: &Args) -> Option<Duration> {
     if args.has("no-vacuum") {
         return None;
     }
-    match args.get(&["vacuum-interval-ms"]) {
-        Some(ms) => Some(Duration::from_millis(ms.parse().unwrap_or(25))),
-        None => Some(EngineConfig::DEFAULT_VACUUM_INTERVAL),
-    }
+    let default_ms = EngineConfig::DEFAULT_VACUUM_INTERVAL.as_millis() as u64;
+    Some(Duration::from_millis(args.num(&["vacuum-interval-ms"], default_ms)))
 }
 
 fn make_harness(
@@ -306,11 +319,8 @@ fn make_harness(
     // is what turns a metastable retry storm into accounted give-ups;
     // leaving it off is the control arm of the overload experiments.
     let mut retry = hattrick::harness::RetryPolicy::default();
-    if let Some(cap) = args.get(&["retry-budget"]) {
-        let Ok(cap) = cap.parse::<u32>() else {
-            eprintln!("bad --retry-budget {cap}; expected a token count");
-            return None;
-        };
+    if args.has("retry-budget") {
+        let cap = args.u32(&["retry-budget"], 0);
         retry.budget = Some(RetryBudgetConfig { cap, ..RetryBudgetConfig::default() });
     }
     retry.max_attempts = args.u32(&["max-attempts"], retry.max_attempts);
@@ -755,9 +765,11 @@ const USAGE: &str = "usage: hatcli <engines|point|frontier|compare|artifact> [fl
     off|sleep|fsync [--wal-dir <dir>] (fsync runs a real\n\
     on-disk WAL); with fsync, --disk-faults <seed> arms a\n\
     seeded disk-fault plan (EIO, fsync failures, ENOSPC,\n\
-    stalls) and --max-commit-backlog <frames> bounds the\n\
-    group-commit queue (excess commits shed with retryable\n\
-    errors)\n\
+    stalls; the first failed write or fsync stops the WAL's\n\
+    writes, commits then shed with retryable errors until\n\
+    the --wal-dir is reopened by a later run) and\n\
+    --max-commit-backlog <frames> bounds the group-commit\n\
+    queue (excess commits shed with retryable errors)\n\
     point --arrival-rate <req/s> switches to an open-loop\n\
     overload run: offered load is an input, not a client\n\
     count. Knobs: --arrival-shape poisson|bursty|step\n\
@@ -780,7 +792,8 @@ const USAGE: &str = "usage: hatcli <engines|point|frontier|compare|artifact> [fl
     the artifact (schema v6) as t_cores/a_cores columns and\n\
     --overlay-out <chart.svg> draws the per-tick\n\
     (goodput, qps) trajectory\n\
-    any other flag is an error (usage, exit 2)";
+    any other flag, or a malformed value, is an error\n\
+    (usage, exit 2)";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -848,5 +861,19 @@ mod tests {
         // `point`-only flags are not `frontier` flags.
         let frontier = accepted_flags("frontier").unwrap();
         assert_eq!(parse(&["-t", "2"]).unknown(&frontier).as_deref(), Some("-t"));
+    }
+
+    #[test]
+    fn malformed_values_are_named_not_defaulted() {
+        // A malformed value must not fall back to the default.
+        let args = parse(&["-t", "two", "--sf", "0.5x", "--vacuum-interval-ms", "fast", "-a", "1"]);
+        assert_eq!(args.value(&["t"], 4u32), Err("bad value \"two\" for -t".to_string()));
+        assert_eq!(args.value(&["sf"], 0.01f64), Err("bad value \"0.5x\" for --sf".to_string()));
+        assert!(args.value(&["vacuum-interval-ms"], 25u64).is_err());
+        // A flag given without its value is malformed too.
+        assert!(parse(&["--measure-ms", "--no-vacuum"]).value(&["measure-ms"], 600u32).is_err());
+        // Well-formed and absent values still parse and default.
+        assert_eq!(args.value(&["a"], 2u32), Ok(1));
+        assert_eq!(args.value(&["repeats", "r"], 1u32), Ok(1));
     }
 }

@@ -65,28 +65,21 @@ pub enum HatError {
     /// assert that injected bit-flips are detected as such. `lsn` is the
     /// expected sequence position of the bad record. Not retryable.
     ChecksumMismatch { lsn: u64 },
-    /// The engine shed this commit *at admission* because its storage is
-    /// degraded (a failed fsync/write quarantined the active WAL
-    /// segment) or the group-commit backlog hit its bound. Nothing was
-    /// installed: the transaction aborted cleanly and may be retried
-    /// once the health state machine re-admits writes. Reads and
-    /// analytics keep working throughout. Retryable. A failure *after*
-    /// install is [`HatError::DurabilityInDoubt`], never this.
+    /// The engine shed this commit *at admission*: the group-commit
+    /// backlog hit its bound, or a failed write/fsync stopped the WAL
+    /// (fail-stop: it sheds every commit until the directory is
+    /// reopened). Nothing was installed: the transaction aborted cleanly
+    /// and may be retried. Reads and analytics keep working throughout.
+    /// Retryable. A failure *after* install is
+    /// [`HatError::DurabilityInDoubt`], never this.
     Degraded,
-    /// A storage fault voided the durability wait *after* the
-    /// transaction installed: its WAL frame is re-queued to be rewritten
-    /// onto a fresh segment, so the commit stays visible and becomes
-    /// durable once the WAL re-admits itself (or is lost if the process
-    /// dies first). Committed-in-doubt like
-    /// [`HatError::ReplicationTimeout`]: the client's connection
-    /// recovers, but the transaction must never be blindly re-executed —
-    /// that would double-apply it.
+    /// A storage fault stopped the WAL *after* the transaction installed
+    /// and before its record was durable. The commit stays visible in
+    /// memory, but its frame may or may not survive a reopen.
+    /// Committed-in-doubt like [`HatError::ReplicationTimeout`]: the
+    /// client's connection recovers, but the transaction must never be
+    /// blindly re-executed — that would double-apply it.
     DurabilityInDoubt,
-    /// A sealed WAL segment failed checksum verification during a scrub:
-    /// the storage is not just transiently failing but has lost durable
-    /// bytes. Commits stay shed until an operator restores the segment
-    /// (`segment` is its first LSN); retrying cannot help. Not retryable.
-    Quarantined { segment: u64 },
 }
 
 impl HatError {
@@ -163,13 +156,6 @@ impl fmt::Display for HatError {
                     "durability wait voided by a storage fault after install (commit in doubt)"
                 )
             }
-            HatError::Quarantined { segment } => {
-                write!(
-                    f,
-                    "wal segment at lsn {segment} quarantined after failed scrub; \
-                     operator intervention required"
-                )
-            }
         }
     }
 }
@@ -200,14 +186,11 @@ mod tests {
             (HatError::WalTruncated { requested: 7, oldest: 42 }, false, false),
             (HatError::WalCorrupt { detail: "bad magic".into() }, false, false),
             (HatError::ChecksumMismatch { lsn: 99 }, false, false),
-            // Shed commits aborted cleanly before install: retry once the
-            // health state machine re-admits writes.
+            // Shed commits aborted cleanly before install.
             (HatError::Degraded, true, false),
             // Installed, then the durability wait was voided: like
             // ReplicationTimeout, the client must never re-execute it.
             (HatError::DurabilityInDoubt, true, true),
-            // Scrub-confirmed durable-byte loss: retrying cannot help.
-            (HatError::Quarantined { segment: 17 }, false, false),
         ]
     }
 
@@ -247,8 +230,7 @@ mod tests {
                 | HatError::WalCorrupt { .. }
                 | HatError::ChecksumMismatch { .. }
                 | HatError::Degraded
-                | HatError::DurabilityInDoubt
-                | HatError::Quarantined { .. } => true,
+                | HatError::DurabilityInDoubt => true,
             };
             assert!(covered);
         }
@@ -256,7 +238,7 @@ mod tests {
         let discriminants: std::collections::HashSet<std::mem::Discriminant<HatError>> =
             table.iter().map(|(e, _, _)| std::mem::discriminant(e)).collect();
         assert_eq!(discriminants.len(), table.len(), "duplicate table entries");
-        assert_eq!(discriminants.len(), 18, "table must cover all 18 variants");
+        assert_eq!(discriminants.len(), 17, "table must cover all 17 variants");
     }
 
     #[test]
@@ -277,7 +259,5 @@ mod tests {
         assert!(e.to_string().contains("degraded"));
         let e = HatError::DurabilityInDoubt;
         assert!(e.to_string().contains("in doubt"));
-        let e = HatError::Quarantined { segment: 17 };
-        assert!(e.to_string().contains("17") && e.to_string().contains("quarantined"));
     }
 }

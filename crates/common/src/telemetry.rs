@@ -69,16 +69,8 @@ pub mod names {
     /// Commits shed with a retryable `Degraded` error (storage fault or
     /// group-commit backlog at its bound) instead of being queued.
     pub const WAL_SHED_COMMITS: &str = "wal.shed_commits";
-    /// Background scrub passes (checksum re-verification of sealed
-    /// segments plus a device probe while degraded).
-    pub const WAL_SCRUB_PASSES: &str = "wal.scrub_passes";
-    /// Active segments quarantined after a failed write/fsync (sealed at
-    /// their durable prefix, replaced by a fresh segment on re-admission).
-    pub const WAL_QUARANTINED: &str = "wal.quarantined_segments";
-    /// Engine health gauge: 0 healthy, 1 degraded, 2 recovering.
+    /// Engine health gauge: 0 healthy, 1 WAL stopped by a storage fault.
     pub const HEALTH_STATE: &str = "health.state";
-    /// Scrub ticks spent outside `Healthy` (degraded-time proxy).
-    pub const HEALTH_DEGRADED_TICKS: &str = "health.degraded_ticks";
     /// Faults injected by a seeded `DiskFaultPlan` (chaos runs only).
     pub const DISK_FAULTS: &str = "disk.faults_injected";
     /// Never recorded, so it reads 0; kept only because `benchmark/`

@@ -343,12 +343,12 @@ pub struct TimeSeriesSample {
     /// Mean freshness score (seconds) of the queries that finished in
     /// this tick; `0.0` when none finished.
     pub freshness_lag: f64,
-    /// Storage-health gauge at sample time: 0 Healthy, 1 Degraded,
-    /// 2 Recovering. A chaos run shows this step up and back down as the
-    /// scrubber re-admits the device.
+    /// Storage-health gauge at sample time: 0 healthy, 1 WAL stopped. A
+    /// chaos run shows this step up once, at the first failed write or
+    /// fsync, and stay up for the rest of the run.
     pub health: u64,
     /// Transactional requests shed for *storage* reasons during the tick
-    /// (`HatError::Degraded`): a degraded/quarantined WAL or a full
+    /// (`HatError::Degraded`): a WAL stopped by a storage fault or a full
     /// group-commit backlog.
     pub shed: u64,
     /// Transactional requests shed for *overload* reasons during the
@@ -1497,11 +1497,9 @@ mod tests {
         use hat_common::HatError;
         // Shed commits surface as retryable `Degraded`: the client loop
         // (`Err(e) if e.is_retryable()`) takes the backoff path — not
-        // give-up, not committed-in-doubt. Quarantine is terminal and is
-        // never retried.
+        // give-up, not committed-in-doubt.
         assert!(HatError::Degraded.is_retryable());
         assert!(!HatError::Degraded.is_commit_in_doubt());
-        assert!(!HatError::Quarantined { segment: 1 }.is_retryable());
         // A durability wait voided *after* install is committed-in-doubt:
         // the in-doubt arm precedes the retry arm in the client loop, so
         // it is recorded (sequence number consumed) and never

@@ -222,43 +222,25 @@ pub fn durability_line(m: &MetricsSnapshot) -> Option<String> {
 }
 
 /// One-line storage-degradation accounting: how many disk faults the WAL
-/// absorbed, how many commits were shed with retryable errors, how long
-/// the engine sat below `Healthy`, and whether any segment is still
-/// quarantined. Takes the *cumulative* snapshot
-/// ([`PointMeasurement::metrics_end`]: `wal.*`/`health.*`/`disk.*`
+/// absorbed, how many commits were shed with retryable errors, and
+/// whether a storage fault stopped the WAL. Takes the *cumulative*
+/// snapshot ([`PointMeasurement::metrics_end`]: `wal.*`/`health.*`/`disk.*`
 /// counters run since engine start). Returns `None` for fault-free runs
-/// (all counters zero and the health gauge at `Healthy`), so clean
-/// reports stay clean.
+/// (all counters zero and the health gauge at healthy), so clean reports
+/// stay clean.
 ///
 /// [`PointMeasurement::metrics_end`]: crate::harness::PointMeasurement
 pub fn degradation_line(m: &MetricsSnapshot) -> Option<String> {
     let faults = m.counter(names::DISK_FAULTS);
     let shed = m.counter(names::WAL_SHED_COMMITS);
-    let degraded_ticks = m.counter(names::HEALTH_DEGRADED_TICKS);
-    let scrub_passes = m.counter(names::WAL_SCRUB_PASSES);
-    let quarantined = m.counter(names::WAL_QUARANTINED);
     let health = m.gauge(names::HEALTH_STATE);
-    if faults == 0
-        && shed == 0
-        && degraded_ticks == 0
-        && quarantined == 0
-        && health == 0
-    {
+    if faults == 0 && shed == 0 && health == 0 {
         return None;
     }
-    let state = match health {
-        0 => "healthy",
-        1 => "degraded",
-        _ => "recovering",
-    };
-    let mut line = format!(
-        "  degradation: {faults} disk faults, {shed} commits shed (storage), \
-         {degraded_ticks} degraded ticks, {scrub_passes} scrub passes, ended {state}"
-    );
-    if quarantined > 0 {
-        line.push_str(&format!(", {quarantined} segments quarantined"));
-    }
-    Some(line)
+    let state = if health == 0 { "healthy" } else { "stopped" };
+    Some(format!(
+        "  degradation: {faults} disk faults, {shed} commits shed (storage), wal ended {state}"
+    ))
 }
 
 /// One-line open-loop overload accounting: offered vs admitted vs
@@ -511,24 +493,16 @@ mod tests {
         let mut hurt = MetricsSnapshot::new();
         hurt.set_counter(names::DISK_FAULTS, 6);
         hurt.set_counter(names::WAL_SHED_COMMITS, 11);
-        hurt.set_counter(names::HEALTH_DEGRADED_TICKS, 4);
-        hurt.set_counter(names::WAL_SCRUB_PASSES, 2);
         let line = degradation_line(&hurt).unwrap();
         assert!(line.contains("6 disk faults"));
         assert!(line.contains("11 commits shed (storage)"));
-        assert!(line.contains("4 degraded ticks"));
-        assert!(line.contains("2 scrub passes"));
-        assert!(line.contains("ended healthy"));
-        assert!(!line.contains("quarantined"), "quarantine elided when zero");
-        hurt.set_counter(names::WAL_QUARANTINED, 1);
+        assert!(line.contains("wal ended healthy"));
         hurt.set_gauge(names::HEALTH_STATE, 1);
-        let line = degradation_line(&hurt).unwrap();
-        assert!(line.contains("ended degraded"));
-        assert!(line.contains("1 segments quarantined"));
-        // A run that ends below Healthy reports even with zero counters.
+        assert!(degradation_line(&hurt).unwrap().contains("wal ended stopped"));
+        // A run whose WAL stopped reports even with zero counters.
         let mut stuck = MetricsSnapshot::new();
-        stuck.set_gauge(names::HEALTH_STATE, 2);
-        assert!(degradation_line(&stuck).unwrap().contains("ended recovering"));
+        stuck.set_gauge(names::HEALTH_STATE, 1);
+        assert!(degradation_line(&stuck).unwrap().contains("wal ended stopped"));
     }
 
     #[test]

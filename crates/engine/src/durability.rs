@@ -192,9 +192,9 @@ impl DurabilityLayer {
     }
 
     /// Admission control for a commit about to install: sheds it with a
-    /// retryable [`HatError::Degraded`](hat_common::HatError) (or a
-    /// terminal `Quarantined`) when the WAL is unhealthy or its backlog
-    /// is full. Modes without a real WAL admit everything.
+    /// retryable [`HatError::Degraded`](hat_common::HatError) when a
+    /// storage fault stopped the WAL or its backlog is full. Modes without
+    /// a real WAL admit everything.
     pub fn admit(&self) -> hat_common::Result<()> {
         match self {
             DurabilityLayer::Fsync(wal) => wal.admit(),
@@ -202,7 +202,7 @@ impl DurabilityLayer {
         }
     }
 
-    /// Position on the storage-health ladder (`Healthy` without a WAL).
+    /// Whether the WAL still takes writes (`Healthy` without a WAL).
     pub fn health(&self) -> HealthState {
         match self {
             DurabilityLayer::Fsync(wal) => wal.health(),

@@ -20,7 +20,7 @@ use hat_common::telemetry::{
 };
 use hat_common::{HatError, Result, Row, TableId};
 use hat_storage::bptree::BPlusTree;
-use hat_storage::dwal::{CheckpointData, TableCheckpoint, WalRecovery};
+use hat_storage::dwal::{CheckpointData, HealthState, TableCheckpoint, WalRecovery};
 use hat_storage::rowstore::{PruneStats, RowDb, RowId, RowStore};
 use hat_storage::wal::TableOp;
 use hat_txn::{
@@ -515,6 +515,12 @@ impl RowKernel {
 
     /// Restores post-load state: truncates grown tables, reverts updated
     /// rows, trims indexes. Caller must quiesce traffic first.
+    ///
+    /// The revert is not logged, so under `Fsync` it ends with a
+    /// checkpoint: recovery starts from the post-reset image and skips the
+    /// older tail, whose rids later inserts reuse. A WAL a storage fault
+    /// stopped takes no later record to collide with; it keeps its
+    /// durable pre-reset history.
     pub fn reset(&self) -> Result<()> {
         let counts = self.loaded_counts.read();
         for t in TableId::ALL {
@@ -525,6 +531,9 @@ impl RowKernel {
             }
         }
         self.indexes.sweep_dead(self.db.store(TableId::Lineorder));
+        if self.durability.health() == HealthState::Healthy {
+            self.checkpoint()?;
+        }
         Ok(())
     }
 
@@ -581,9 +590,6 @@ impl RowKernel {
         snap.set_counter(names::WAL_TORN_TAILS, d.torn_tail_truncations);
         snap.set_histogram(names::WAL_GROUP_COMMIT_BATCH, d.group_commit_batches);
         snap.set_counter(names::WAL_SHED_COMMITS, d.shed_commits);
-        snap.set_counter(names::WAL_SCRUB_PASSES, d.scrub_passes);
-        snap.set_counter(names::WAL_QUARANTINED, d.quarantined_segments);
-        snap.set_counter(names::HEALTH_DEGRADED_TICKS, d.degraded_ticks);
         snap.set_counter(names::DISK_FAULTS, d.disk_faults);
         snap.set_gauge(names::HEALTH_STATE, d.health.as_u64());
         // Always-fresh gauge: accurate even with vacuum disabled.
@@ -591,9 +597,9 @@ impl RowKernel {
         snap
     }
 
-    /// Current position on the storage-health ladder (always `Healthy`
-    /// for durability modes without a real WAL).
-    pub fn health(&self) -> hat_storage::dwal::HealthState {
+    /// Whether the WAL still takes writes (always `Healthy` for
+    /// durability modes without a real WAL).
+    pub fn health(&self) -> HealthState {
         self.durability.health()
     }
 }
@@ -847,7 +853,7 @@ impl Session for KernelSession {
             return Err(self.abort_with(e));
         }
 
-        // Admission control: a degraded/quarantined WAL or a full
+        // Admission control: a WAL stopped by a storage fault or a full
         // group-commit backlog sheds the commit here, *before* anything
         // installs — a clean abort the client may retry, while reads and
         // analytics keep serving from the in-memory store.

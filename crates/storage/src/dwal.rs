@@ -54,36 +54,32 @@
 //! low-water mark are deleted. Recovery loads the newest valid checkpoint
 //! and replays only the WAL tail past its LSN.
 //!
-//! # Disk faults & graceful degradation
+//! # Disk faults: fail-stop
 //!
 //! Every file operation goes through a [`WalIo`] layer driven by a seeded
 //! [`DiskFaultPlan`] — a schedule of injected faults (EIO/ENOSPC on
 //! write, fsync failure, write stalls, read-side bit-rot) generalizing
 //! the one-shot [`KillPoint`] into something a chaos harness can script.
 //!
-//! A failed write or fsync is **fatal for that batch's durability
-//! claim**: the WAL never re-fsyncs the same dirty range and pretends
-//! (the fsyncgate lesson). Instead the active segment is *quarantined* —
-//! truncated back to its durable prefix and sealed — the unacknowledged
-//! frames are re-queued to be rewritten from memory onto a fresh segment,
-//! waiters receive [`HatError::DurabilityInDoubt`] (their commit is
-//! installed and will become durable on re-admission, so it must never
-//! be blindly re-executed), and the WAL enters the
-//! `Healthy → Degraded → Recovering → Healthy` ladder:
+//! The first failed write, fsync, rotation or segment create **stops the
+//! WAL for writes**, as PostgreSQL (since version 12) PANICs on an fsync
+//! failure instead of retrying it: after a failed fsync the kernel may
+//! have dropped the dirty pages, so re-fsyncing the same range and
+//! trusting the result would claim durability for bytes that are gone
+//! (the fsyncgate lesson). The flusher truncates the active segment back
+//! to its durable prefix, drops the frames it had not made durable, marks
+//! the WAL [`HealthState::Degraded`], wakes every waiter and exits. From
+//! then on:
 //!
-//! * **Degraded** — the flusher parks; [`DurableWal::admit`] sheds new
-//!   commits with [`HatError::Degraded`] (bounded backlog, never an
-//!   unbounded queue), so the engine serves reads/analytics only.
-//! * a background *scrubber* re-verifies sealed-segment checksums and
-//!   probes the device each tick; when both pass it moves to
-//!   **Recovering** and wakes the flusher.
-//! * **Recovering** — the flusher drains the re-queued backlog onto a
-//!   fresh segment; once the durable horizon catches up the WAL is
-//!   **Healthy** again and commits are re-admitted.
+//! * [`DurableWal::admit`] sheds every commit with the retryable
+//!   [`HatError::Degraded`] before it installs anything, so the engine
+//!   serves reads and analytics only;
+//! * [`DurableWal::append`] and [`DurableWal::wait_durable`] (for an LSN
+//!   past the durable horizon) fail with [`HatError::DurabilityInDoubt`]:
+//!   the commit is installed in memory but was never acknowledged, and it
+//!   may or may not survive a reopen.
 //!
-//! If a scrub finds a sealed segment with a bad checksum the storage has
-//! lost durable bytes: commits are shed with the non-retryable
-//! [`HatError::Quarantined`] until an operator intervenes.
+//! Only reopening the directory — recovery — brings writes back.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
@@ -126,20 +122,14 @@ pub struct WalConfig {
     pub fault_plan: DiskFaultPlan,
     /// Shed commits with [`HatError::Degraded`] once this many frames are
     /// queued ahead of the flusher ([`DurableWal::admit`]). Bounds the
-    /// group-commit backlog so a stalled or degraded device back-pressures
-    /// clients instead of growing an unbounded queue.
+    /// group-commit backlog so a stalled device back-pressures clients
+    /// instead of growing an unbounded queue.
     pub max_backlog: usize,
-    /// Cadence of the background scrubber (checksum re-verification and,
-    /// while degraded, the device probe driving re-admission). With an
-    /// empty fault plan the scrubber parks while `Healthy` — zero
-    /// background I/O or CPU in fault-free benchmark runs — and only
-    /// starts ticking if a real I/O failure degrades the WAL.
-    pub scrub_interval: Duration,
 }
 
 impl WalConfig {
-    /// Defaults: 4 MiB segments, real fsync, no background checkpoints,
-    /// no fault injection, 4096-frame backlog bound, 5 ms scrub cadence.
+    /// Defaults: 4 MiB segments, real fsync, no fault injection,
+    /// 4096-frame backlog bound.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
@@ -147,41 +137,28 @@ impl WalConfig {
             sync: true,
             fault_plan: DiskFaultPlan::default(),
             max_backlog: 4096,
-            scrub_interval: Duration::from_millis(5),
         }
     }
 }
 
-/// Engine/WAL health, the ladder a storage fault walks: a failed
-/// write/fsync moves `Healthy → Degraded` (commits shed, analytics keep
-/// serving), a clean scrub plus device probe moves `Degraded →
-/// Recovering` (the flusher drains the re-queued backlog onto a fresh
-/// segment), and a caught-up durable horizon moves `Recovering →
-/// Healthy` (commits re-admitted).
+/// Whether the WAL still takes writes. A failed write, fsync, rotation
+/// or segment create moves `Healthy → Degraded` for good: commits shed,
+/// analytics keep serving, and only a reopen (recovery) is `Healthy`
+/// again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthState {
     #[default]
     Healthy,
     Degraded,
-    Recovering,
 }
 
 impl HealthState {
-    /// Stable numeric encoding for the `health.state` telemetry gauge.
+    /// Stable numeric encoding for the `health.state` telemetry gauge:
+    /// 0 healthy, 1 stopped.
     pub fn as_u64(self) -> u64 {
         match self {
             HealthState::Healthy => 0,
             HealthState::Degraded => 1,
-            HealthState::Recovering => 2,
-        }
-    }
-
-    /// Human label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Recovering => "recovering",
         }
     }
 }
@@ -255,16 +232,9 @@ pub struct DiskFault {
 /// harness can script: faults fire at fixed operation indices, so a run
 /// is reproducible from its seed.
 ///
-/// Reproducibility is guaranteed per I/O class: each class has its own
-/// op clock, write/sync clocks are advanced only by the durability path
-/// (flusher and checkpoint writes/fsyncs), and the wall-clock-driven
-/// scrubber consults them *without* advancing ([`WalIo::probe_gate`],
-/// which instead consumes a covering window on failure). The read clock
-/// is advanced by recovery reads — which happen at open, before any
-/// background thread runs — and by scrub verification reads, so
-/// read-side windows aimed past recovery fire at scrubber-timing-
-/// dependent points ([`DiskFaultPlan::seeded`] excludes them for this
-/// reason).
+/// Each I/O class has its own op clock. The write and sync clocks are
+/// advanced only by the durability path (flusher and checkpoint
+/// writes/fsyncs); the read clock only by recovery reads at open.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiskFaultPlan {
     faults: Vec<DiskFault>,
@@ -283,9 +253,10 @@ impl DiskFaultPlan {
     }
 
     /// A reproducible random schedule: 1–3 short write/sync fault windows
-    /// at increasing operation indices. Read-side faults are excluded so
-    /// a seeded chaos run degrades and recovers rather than failing its
-    /// own recovery scan.
+    /// at increasing operation indices. The first failing window stops
+    /// the WAL's writes (a stall only slows them). Read-side faults are
+    /// excluded so the reopen after a seeded chaos run recovers rather
+    /// than failing its own recovery scan.
     pub fn seeded(seed: u64) -> Self {
         let mut rng = HatRng::seeded(seed ^ 0xD15C_FA17);
         let mut faults = Vec::new();
@@ -309,22 +280,12 @@ impl DiskFaultPlan {
         self.faults.is_empty()
     }
 
-    /// The fault window (if any) covering operation `op` of class
-    /// `class`.
-    fn window_at(&self, op: u64, class: IoClass) -> Option<DiskFault> {
-        self.faults
-            .iter()
-            .find(|f| {
-                f.kind.class() == class
-                    && op >= f.at_op
-                    && op - f.at_op < f.for_ops
-            })
-            .copied()
-    }
-
     /// The fault kind (if any) covering operation `op` of class `class`.
     fn fault_at(&self, op: u64, class: IoClass) -> Option<DiskFaultKind> {
-        self.window_at(op, class).map(|f| f.kind)
+        self.faults
+            .iter()
+            .find(|f| f.kind.class() == class && op >= f.at_op && op - f.at_op < f.for_ops)
+            .map(|f| f.kind)
     }
 }
 
@@ -334,11 +295,7 @@ impl DiskFaultPlan {
 /// pass-through (two relaxed atomic ops per call).
 struct WalIo {
     plan: DiskFaultPlan,
-    /// Per-class monotonic op clocks ([`IoClass::idx`]). The write/sync
-    /// clocks are the *fault clocks* the durability path (flusher,
-    /// checkpoints) advances; scrub probes consult them without
-    /// advancing, so seeded fault windows fire at the same flusher ops
-    /// regardless of scrubber timing.
+    /// Per-class monotonic op clocks ([`IoClass::idx`]).
     ops: [AtomicU64; 3],
     /// Faults actually injected (the `disk.faults_injected` counter).
     injected: AtomicU64,
@@ -357,10 +314,11 @@ impl WalIo {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Injects the scheduled misbehavior of the fault (if any) covering
-    /// operation `op` of class `class`: returns the injected error, or
-    /// sleeps through a stall. Does not advance any clock.
-    fn inject_at(&self, op: u64, class: IoClass) -> std::io::Result<()> {
+    /// Consults the plan for the next operation of `class`, advancing
+    /// that class's clock: returns the injected error, or sleeps through
+    /// a stall.
+    fn gate(&self, class: IoClass) -> std::io::Result<()> {
+        let op = self.ops[class.idx()].fetch_add(1, Ordering::Relaxed);
         match self.plan.fault_at(op, class) {
             None => Ok(()),
             Some(DiskFaultKind::WriteStall(d)) => {
@@ -381,32 +339,6 @@ impl WalIo {
             // Bit-rot is applied by `read`, not here.
             Some(DiskFaultKind::ReadBitRot) => Ok(()),
         }
-    }
-
-    /// Consults the plan for the next operation of `class`, advancing
-    /// that class's fault clock.
-    fn gate(&self, class: IoClass) -> std::io::Result<()> {
-        let op = self.ops[class.idx()].fetch_add(1, Ordering::Relaxed);
-        self.inject_at(op, class)
-    }
-
-    /// Scrub-probe gate: consults the `class` fault clock **without
-    /// advancing it** — probes run on wall-clock cadence and must not
-    /// perturb where flusher/checkpoint ops land. A covering fault
-    /// window still fails the probe, and that failure *consumes* the
-    /// window (the clock jumps to its end), so a transient fault expires
-    /// after one failed probe instead of after a timing-dependent number
-    /// of scrub ticks. Persistent windows (`at_op + for_ops` overflows)
-    /// are never consumed: the probe keeps failing.
-    fn probe_gate(&self, class: IoClass) -> std::io::Result<()> {
-        let clock = &self.ops[class.idx()];
-        let op = clock.load(Ordering::Relaxed);
-        if let Some(f) = self.plan.window_at(op, class) {
-            if let Some(end) = f.at_op.checked_add(f.for_ops) {
-                clock.fetch_max(end, Ordering::Relaxed);
-            }
-        }
-        self.inject_at(op, class)
     }
 
     fn write_all(&self, file: &mut File, buf: &[u8]) -> std::io::Result<()> {
@@ -538,19 +470,12 @@ pub struct DurableWalStats {
     pub checkpoints: u64,
     /// Sealed segments deleted below the checkpoint low-water mark.
     pub segments_deleted: u64,
-    /// Current health-ladder position.
+    /// Whether the WAL still takes writes.
     pub health: HealthState,
     /// Faults injected by the configured [`DiskFaultPlan`].
     pub disk_faults: u64,
-    /// Commits shed with [`HatError::Degraded`]/[`HatError::Quarantined`]
-    /// by [`DurableWal::admit`].
+    /// Commits shed with [`HatError::Degraded`] by [`DurableWal::admit`].
     pub shed_commits: u64,
-    /// Scrub ticks spent outside `Healthy`.
-    pub degraded_ticks: u64,
-    /// Scrub passes completed (checksum verification / device probes).
-    pub scrub_passes: u64,
-    /// Active segments quarantined after a failed write or fsync.
-    pub quarantined_segments: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -874,8 +799,8 @@ struct FlushState {
     last_appended: (Lsn, Ts),
     /// Every record with `lsn <=` this is on disk (or durably recovered).
     durable_lsn: Lsn,
-    /// Set by kill points, I/O errors, or [`DurableWal::crash`]: the
-    /// simulated process death. No further work is accepted.
+    /// Set by kill points or [`DurableWal::crash`]: the simulated process
+    /// death. No further work is accepted.
     crashed: bool,
     /// Set by Drop for a clean shutdown (flush everything, then exit).
     shutdown: bool,
@@ -883,20 +808,11 @@ struct FlushState {
     fsyncs: u64,
     checkpoints: u64,
     segments_deleted: u64,
-    /// Position on the degradation ladder (see [`HealthState`]).
+    /// `Degraded` once a storage fault stopped the flusher (see
+    /// [`HealthState`]).
     health: HealthState,
-    /// First LSN of a sealed segment a scrub found corrupt, if any:
-    /// commits then shed with [`HatError::Quarantined`] instead of the
-    /// retryable [`HatError::Degraded`].
-    corrupt_segment: Option<Lsn>,
     /// Commits shed by [`DurableWal::admit`].
     shed: u64,
-    /// Active segments quarantined after a failed write/fsync.
-    quarantined: u64,
-    /// Scrub ticks spent outside `Healthy`.
-    degraded_ticks: u64,
-    /// Completed scrub passes.
-    scrub_passes: u64,
 }
 
 /// State shared with the flusher thread. The thread holds only this, not
@@ -908,11 +824,8 @@ struct WalShared {
     /// Wakes the flusher when pending work or shutdown arrives.
     work: Condvar,
     /// Wakes `wait_durable` callers when the durable horizon advances or
-    /// the WAL crashes.
+    /// the WAL crashes or stops.
     durable: Condvar,
-    /// Wakes the scrubber early on shutdown/crash (it otherwise ticks at
-    /// `config.scrub_interval`).
-    scrub: Condvar,
     /// First LSN of the segment the flusher currently appends to; the
     /// checkpointer must never delete that file.
     active_first_lsn: std::sync::atomic::AtomicU64,
@@ -927,7 +840,6 @@ struct WalShared {
 pub struct DurableWal {
     inner: Arc<WalShared>,
     flusher: Mutex<Option<JoinHandle<()>>>,
-    scrubber: Mutex<Option<JoinHandle<()>>>,
     recovery_replayed: u64,
     recovery_torn: u64,
 }
@@ -949,14 +861,20 @@ struct ActiveSegment {
 
 impl ActiveSegment {
     /// Creates (or truncates) the segment for `first_lsn` and writes its
-    /// header, all through the fault-injecting I/O layer. Callers fsync
-    /// the directory afterwards if configured.
+    /// header, all through the fault-injecting I/O layer. A failed header
+    /// write removes the file, which recovery would otherwise reject for
+    /// its bad header. Callers fsync the directory afterwards if
+    /// configured.
     fn create(io: &WalIo, dir: &Path, first_lsn: Lsn) -> std::io::Result<Self> {
-        let mut file = io.create(&segment_path(dir, first_lsn))?;
+        let path = segment_path(dir, first_lsn);
+        let mut file = io.create(&path)?;
         let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
         header.extend_from_slice(SEGMENT_MAGIC);
         header.extend_from_slice(&first_lsn.to_le_bytes());
-        io.write_all(&mut file, &header)?;
+        if let Err(e) = io.write_all(&mut file, &header) {
+            let _ = fs::remove_file(&path);
+            return Err(e);
+        }
         Ok(ActiveSegment { file, bytes: SEGMENT_HEADER_BYTES })
     }
 }
@@ -985,15 +903,10 @@ impl DurableWal {
                 checkpoints: 0,
                 segments_deleted: 0,
                 health: HealthState::Healthy,
-                corrupt_segment: None,
                 shed: 0,
-                quarantined: 0,
-                degraded_ticks: 0,
-                scrub_passes: 0,
             }),
             work: Condvar::new(),
             durable: Condvar::new(),
-            scrub: Condvar::new(),
             active_first_lsn: std::sync::atomic::AtomicU64::new(recovery.next_lsn),
             batch_hist: Histogram::new(),
             io,
@@ -1012,15 +925,9 @@ impl DurableWal {
             .name("wal-flusher".into())
             .spawn(move || flusher_loop(thread_shared, seg))
             .map_err(|e| io_err("spawn wal flusher", e))?;
-        let scrub_shared = Arc::clone(&inner);
-        let scrub_handle = std::thread::Builder::new()
-            .name("wal-scrubber".into())
-            .spawn(move || scrubber_loop(scrub_shared))
-            .map_err(|e| io_err("spawn wal scrubber", e))?;
         let wal = Arc::new(DurableWal {
             inner,
             flusher: Mutex::new(Some(handle)),
-            scrubber: Mutex::new(Some(scrub_handle)),
             recovery_replayed: recovery.replayed_records(),
             recovery_torn: recovery.torn_tail_truncations,
         });
@@ -1030,11 +937,16 @@ impl DurableWal {
     /// Enqueues one commit record and returns its LSN. Must be called
     /// inside the commit critical section so that LSN order equals
     /// commit-timestamp order. The record is **not** durable until
-    /// [`DurableWal::wait_durable`] returns for it.
+    /// [`DurableWal::wait_durable`] returns for it. On a WAL a storage
+    /// fault stopped, nothing is queued and the (already installed)
+    /// commit is [`HatError::DurabilityInDoubt`].
     pub fn append(&self, commit_ts: Ts, ops: &[TableOp]) -> Result<Lsn> {
         let mut st = self.inner.state.lock();
         if st.crashed {
             return Err(HatError::EngineStopped);
+        }
+        if st.health != HealthState::Healthy {
+            return Err(HatError::DurabilityInDoubt);
         }
         let lsn = st.next_lsn;
         st.next_lsn += 1;
@@ -1047,20 +959,15 @@ impl DurableWal {
 
     /// Admission control, called by the kernel **before** a transaction
     /// installs anything: sheds the commit with a clean, retryable
-    /// [`HatError::Degraded`] when the WAL is degraded/recovering or the
-    /// group-commit backlog is at its bound, and with the non-retryable
-    /// [`HatError::Quarantined`] when a scrub has confirmed durable-byte
-    /// loss. Shedding here (not at [`DurableWal::append`], which runs
-    /// after install) is what keeps a shed commit invisible: nothing was
-    /// installed, so recovery can never surface half of it.
+    /// [`HatError::Degraded`] when a storage fault stopped the WAL or the
+    /// group-commit backlog is at its bound. Shedding here (not at
+    /// [`DurableWal::append`], which runs after install) is what keeps a
+    /// shed commit invisible: nothing was installed, so recovery can
+    /// never surface half of it.
     pub fn admit(&self) -> Result<()> {
         let mut st = self.inner.state.lock();
         if st.crashed {
             return Err(HatError::EngineStopped);
-        }
-        if let Some(segment) = st.corrupt_segment {
-            st.shed += 1;
-            return Err(HatError::Quarantined { segment });
         }
         if st.health != HealthState::Healthy
             || st.pending.len() >= self.inner.config.max_backlog
@@ -1071,7 +978,7 @@ impl DurableWal {
         Ok(())
     }
 
-    /// Current position on the health ladder.
+    /// Whether the WAL still takes writes.
     pub fn health(&self) -> HealthState {
         self.inner.state.lock().health
     }
@@ -1081,11 +988,11 @@ impl DurableWal {
     /// crashed before covering `lsn` — the commit's durability is then
     /// unknown to the caller, exactly like a process crash between write
     /// and acknowledgement. Fails with [`HatError::DurabilityInDoubt`]
-    /// if a storage fault degraded the WAL first: the caller's commit is
-    /// *installed* (its frame is re-queued and becomes durable on
-    /// re-admission), so this is committed-in-doubt — never the clean
-    /// pre-install abort [`HatError::Degraded`] signals, and never safe
-    /// to blindly re-execute.
+    /// if a storage fault stopped the WAL first: the caller's commit is
+    /// *installed* but its frame may or may not be on disk, so this is
+    /// committed-in-doubt — never the clean pre-install abort
+    /// [`HatError::Degraded`] signals, and never safe to blindly
+    /// re-execute.
     pub fn wait_durable(&self, lsn: Lsn) -> Result<()> {
         let mut st = self.inner.state.lock();
         loop {
@@ -1095,10 +1002,8 @@ impl DurableWal {
             if st.crashed {
                 return Err(HatError::EngineStopped);
             }
-            // A storage fault voided this batch's durability claim: the
-            // commit was installed but never acknowledged. Waiters fail
-            // with the commit-in-doubt error instead of blocking until
-            // (if ever) the re-queued frames land on a fresh segment.
+            // A storage fault stopped the WAL before it covered `lsn`:
+            // the commit was installed but is never acknowledged.
             if st.health != HealthState::Healthy {
                 return Err(HatError::DurabilityInDoubt);
             }
@@ -1119,16 +1024,16 @@ impl DurableWal {
 
     /// Durably writes `data` (tmp + fsync + atomic rename), then deletes
     /// sealed segments entirely below its low-water LSN and superseded
-    /// checkpoint files.
+    /// checkpoint files. A failed tmp write returns its error and leaves
+    /// health unchanged: the tmp is never renamed, so it claims nothing.
     pub fn checkpoint(&self, data: &CheckpointData) -> Result<()> {
         {
             let mut st = self.inner.state.lock();
             if st.crashed {
                 return Err(HatError::EngineStopped);
             }
-            // Never checkpoint onto sick storage: the tmp write would
-            // just fail (or worse, claim coverage of frames that are not
-            // durable yet while the flusher backlog drains).
+            // Never checkpoint a stopped WAL: the image would hold
+            // in-doubt commits whose frames were dropped.
             if st.health != HealthState::Healthy {
                 return Err(HatError::Degraded);
             }
@@ -1161,19 +1066,9 @@ impl DurableWal {
             io.write_all(&mut file, &buf)?;
             io.sync(&file, self.inner.config.sync)
         })();
-        if written.is_err() {
-            // A checkpoint failure claims nothing (the tmp is never
-            // renamed), but the device is misbehaving: degrade so the
-            // scrubber decides when to trust it again.
+        if let Err(e) = written {
             let _ = fs::remove_file(&tmp);
-            let mut st = self.inner.state.lock();
-            st.health = HealthState::Degraded;
-            drop(st);
-            self.inner.durable.notify_all();
-            // Wake the scrubber: with an empty fault plan it parks while
-            // healthy and must be told the device went sick for real.
-            self.inner.scrub.notify_all();
-            return Err(HatError::Degraded);
+            return Err(io_err("write ckpt", e));
         }
         fs::rename(&tmp, checkpoint_path(&self.inner.config.dir, data.lsn))
             .map_err(|e| io_err("rename ckpt", e))?;
@@ -1243,11 +1138,10 @@ impl DurableWal {
         drop(st);
         self.inner.work.notify_all();
         self.inner.durable.notify_all();
-        self.inner.scrub.notify_all();
         self.join_flusher();
     }
 
-    /// Whether a crash (injected or real I/O failure) has stopped the WAL.
+    /// Whether a kill point or [`DurableWal::crash`] has stopped the WAL.
     pub fn is_crashed(&self) -> bool {
         self.inner.state.lock().crashed
     }
@@ -1277,17 +1171,11 @@ impl DurableWal {
             health: st.health,
             disk_faults: self.inner.io.injected(),
             shed_commits: st.shed,
-            degraded_ticks: st.degraded_ticks,
-            scrub_passes: st.scrub_passes,
-            quarantined_segments: st.quarantined,
         }
     }
 
     fn join_flusher(&self) {
         if let Some(handle) = self.flusher.lock().take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.scrubber.lock().take() {
             let _ = handle.join();
         }
     }
@@ -1297,7 +1185,6 @@ impl Drop for DurableWal {
     fn drop(&mut self) {
         self.inner.state.lock().shutdown = true;
         self.inner.work.notify_all();
-        self.inner.scrub.notify_all();
         self.join_flusher();
     }
 }
@@ -1306,14 +1193,10 @@ impl Drop for DurableWal {
 /// writes them (rotating segments), issues one fsync, then advances the
 /// durable horizon and wakes every covered waiter.
 ///
-/// A failed write/fsync no longer kills the WAL: the batch's durability
-/// claim is voided, the active segment is quarantined at its durable
-/// prefix, the suspect frames are re-queued, and the health ladder drops
-/// to `Degraded` ([`degrade_flusher`]). The flusher then parks until the
-/// scrubber re-admits the device (`Recovering`), drains the backlog onto
-/// a fresh segment, and declares `Healthy` once the horizon catches up.
-/// Armed [`KillPoint`]s keep their original terminal-crash semantics.
-fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
+/// A failed write, fsync, rotation or segment create stops the WAL for
+/// good ([`stop_flusher`]) and ends the thread. Armed [`KillPoint`]s
+/// crash it instead.
+fn flusher_loop(wal: Arc<WalShared>, mut seg: ActiveSegment) {
     let die = |wal: &WalShared| {
         let mut st = wal.state.lock();
         st.crashed = true;
@@ -1322,16 +1205,10 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
         wal.durable.notify_all();
     };
 
-    // `None` between a quarantine and the recovery that replaces it.
-    let mut seg = Some(seg);
-
     loop {
         let batch = {
             let mut st = wal.state.lock();
-            while (st.pending.is_empty() || st.health == HealthState::Degraded)
-                && !st.shutdown
-                && !st.crashed
-            {
+            while st.pending.is_empty() && !st.shutdown && !st.crashed {
                 wal.work.wait(&mut st);
             }
             if st.crashed {
@@ -1339,17 +1216,10 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
                 wal.durable.notify_all();
                 return;
             }
-            if st.shutdown && st.health == HealthState::Degraded {
-                // Clean shutdown on sick storage: the backlog was never
-                // acknowledged, so dropping it honors every claim made.
-                return;
-            }
             if st.pending.is_empty() {
                 // Clean shutdown with nothing left to write.
                 if wal.config.sync {
-                    if let Some(s) = seg.as_ref() {
-                        let _ = s.file.sync_all();
-                    }
+                    let _ = seg.file.sync_all();
                 }
                 return;
             }
@@ -1372,51 +1242,20 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
         };
         let count = batch.len() as u64;
 
-        // After a quarantine there is no active segment: start a fresh
-        // one at the first re-queued frame (the rewrite-from-memory leg
-        // of fsync-failure handling — the old segment is never reused).
-        if seg.is_none() {
-            let first = batch[0].0;
-            let created = ActiveSegment::create(&wal.io, &wal.config.dir, first)
-                .and_then(|ns| {
-                    if wal.config.sync {
-                        File::open(&wal.config.dir).and_then(|d| d.sync_all())?;
-                    }
-                    Ok(ns)
-                });
-            match created {
-                Ok(ns) => {
-                    wal.active_first_lsn.store(first, Ordering::Relaxed);
-                    seg = Some(ns);
-                }
-                Err(_) => {
-                    if !degrade_flusher(&wal, None, batch, 0, None) {
-                        die(&wal);
-                        return;
-                    }
-                    continue;
-                }
-            }
-        }
-        let mut s = match seg.take() {
-            Some(s) => s,
-            None => continue,
-        };
-
         // `synced_upto`: batch frames below this index sit in sealed,
         // fsynced segments and are durable whatever happens next.
         // `batch_start`: file offset of this batch's first frame within
         // the *current* segment — the truncation point that restores the
         // segment to its durable prefix on failure.
         let mut synced_upto = 0usize;
-        let mut batch_start = s.bytes;
-        // `(suspect_from, truncate_current)` on failure.
+        let mut batch_start = seg.bytes;
+        // `(durable_prefix, truncate_current)` on failure.
         let mut failure: Option<(usize, bool)> = None;
         for (i, (lsn, frame)) in batch.iter().enumerate() {
-            if s.bytes >= wal.config.segment_bytes {
+            if seg.bytes >= wal.config.segment_bytes {
                 // Seal the full segment and rotate to a new one starting
                 // at this record's LSN.
-                if wal.io.sync(&s.file, wal.config.sync).is_err() {
+                if wal.io.sync(&seg.file, wal.config.sync).is_err() {
                     failure = Some((synced_upto, true));
                     break;
                 }
@@ -1431,8 +1270,8 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
                 match rotated {
                     Ok(ns) => {
                         wal.active_first_lsn.store(*lsn, Ordering::Relaxed);
-                        s = ns;
-                        batch_start = s.bytes;
+                        seg = ns;
+                        batch_start = seg.bytes;
                     }
                     Err(_) => {
                         // The old segment sealed cleanly — everything in
@@ -1443,11 +1282,11 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
                     }
                 }
             }
-            if wal.io.write_all(&mut s.file, frame).is_err() {
+            if wal.io.write_all(&mut seg.file, frame).is_err() {
                 failure = Some((synced_upto, true));
                 break;
             }
-            s.bytes += frame.len() as u64;
+            seg.bytes += frame.len() as u64;
         }
 
         if failure.is_none() {
@@ -1466,31 +1305,28 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
                 die(&wal);
                 return;
             }
-            if wal.io.sync(&s.file, wal.config.sync).is_err() {
+            if wal.io.sync(&seg.file, wal.config.sync).is_err() {
                 // fsyncgate: this fsync's failure voids the whole
                 // unsynced suffix of the batch — never re-fsync it.
                 failure = Some((synced_upto, true));
             }
         }
 
-        if let Some((suspect_from, truncate)) = failure {
-            let trunc_to = if truncate { Some(batch_start) } else { None };
-            if !degrade_flusher(&wal, Some(s), batch, suspect_from, trunc_to) {
-                die(&wal);
-                return;
+        if let Some((durable, truncate)) = failure {
+            if truncate {
+                // Cut the segment back to its durable prefix. If even
+                // that fails, the suffix stays on disk: recovery reads
+                // it as a torn tail or as the in-doubt commits it holds.
+                let _ = seg.file.set_len(batch_start);
             }
-            continue;
+            stop_flusher(&wal, batch[..durable].last().map(|(lsn, _)| *lsn));
+            return;
         }
 
         wal.batch_hist.record(count);
         let mut st = wal.state.lock();
         st.durable_lsn = last_lsn;
         st.fsyncs += 1;
-        if st.health == HealthState::Recovering && st.pending.is_empty() {
-            // The re-queued backlog is fully rewritten and fsynced on the
-            // fresh segment: re-admission complete.
-            st.health = HealthState::Healthy;
-        }
         let after_kill = st.kill == Some(KillPoint::AfterFlush);
         if after_kill {
             st.kill = None;
@@ -1502,224 +1338,23 @@ fn flusher_loop(wal: Arc<WalShared>, seg: ActiveSegment) {
         if after_kill {
             return;
         }
-        seg = Some(s);
     }
 }
 
-/// Voids the durability claim of `batch[suspect_from..]` after a failed
-/// write/fsync: truncates the active segment back to its durable prefix
-/// (`truncate_to`), seals and quarantines it, advances the durable
-/// horizon over the prefix that *did* land in sealed+fsynced segments,
-/// re-queues the suspect frames (to be rewritten from memory onto a
-/// fresh segment — never re-fsynced in place), and walks the health
-/// ladder to `Degraded`. Returns `false` when even the truncation
-/// failed, in which case the caller must fall back to a terminal crash.
-fn degrade_flusher(
-    wal: &WalShared,
-    seg: Option<ActiveSegment>,
-    mut batch: Vec<(Lsn, Vec<u8>)>,
-    suspect_from: usize,
-    truncate_to: Option<u64>,
-) -> bool {
-    if let (Some(s), Some(off)) = (seg.as_ref(), truncate_to) {
-        if s.file.set_len(off).is_err() {
-            return false;
-        }
-    }
-    // Dropping the handle seals the quarantined segment at its durable
-    // prefix; the flusher opens a fresh file on re-admission.
-    drop(seg);
-    let durable_to =
-        if suspect_from > 0 { Some(batch[suspect_from - 1].0) } else { None };
-    let mut requeue = batch.split_off(suspect_from);
+/// Fail-stop after a storage fault: advances the durable horizon over the
+/// batch prefix that did land in sealed, fsynced segments (`durable_to`),
+/// drops every frame not yet durable, marks the WAL `Degraded` (admission
+/// sheds from now on), and wakes every waiter — those past the horizon
+/// fail with [`HatError::DurabilityInDoubt`].
+fn stop_flusher(wal: &WalShared, durable_to: Option<Lsn>) {
     let mut st = wal.state.lock();
     if let Some(lsn) = durable_to {
-        if lsn > st.durable_lsn {
-            st.durable_lsn = lsn;
-        }
+        st.durable_lsn = st.durable_lsn.max(lsn);
     }
     st.health = HealthState::Degraded;
-    if truncate_to.is_some() {
-        st.quarantined += 1;
-    }
-    // Suspect frames go back ahead of anything appended since, keeping
-    // the LSN chain contiguous for the eventual rewrite.
-    requeue.append(&mut st.pending);
-    st.pending = requeue;
-    // Point the checkpointer's do-not-delete marker at the first frame
-    // the fresh segment will hold.
-    let next_first = st.pending.first().map(|(l, _)| *l).unwrap_or(st.next_lsn);
-    wal.active_first_lsn.store(next_first, Ordering::Relaxed);
+    st.pending.clear();
     drop(st);
-    // Waiters observe `Degraded` and fail with the commit-in-doubt
-    // error; admission control sheds new commits before they install
-    // anything. The scrubber may be parked (empty fault plan) — wake it
-    // so it drives re-admission.
     wal.durable.notify_all();
-    wal.scrub.notify_all();
-    true
-}
-
-/// The background scrubber: ticks at `config.scrub_interval`, counts
-/// degraded time, and drives re-admission. A degraded WAL returns to
-/// service only when every sealed segment re-verifies its checksums AND
-/// a fresh write+fsync probe succeeds — never by trusting a retried
-/// fsync of old data. A sealed segment that fails verification pins the
-/// WAL in quarantine ([`HatError::Quarantined`]) for an operator.
-///
-/// With an empty fault plan the scrubber parks while `Healthy` instead
-/// of ticking: a fault-free benchmark run pays zero background I/O and
-/// CPU for it. Degrade paths (`degrade_flusher`, a failed checkpoint)
-/// notify `scrub` to wake it when a real device failure needs it.
-fn scrubber_loop(wal: Arc<WalShared>) {
-    let mut tick: u64 = 0;
-    loop {
-        {
-            let mut st = wal.state.lock();
-            if st.shutdown || st.crashed {
-                return;
-            }
-            if st.health == HealthState::Healthy && wal.config.fault_plan.is_empty() {
-                wal.scrub.wait(&mut st);
-            } else {
-                wal.scrub.wait_for(&mut st, wal.config.scrub_interval);
-            }
-            if st.shutdown || st.crashed {
-                return;
-            }
-        }
-        tick += 1;
-        let health = {
-            let mut st = wal.state.lock();
-            if st.health != HealthState::Healthy {
-                st.degraded_ticks += 1;
-            }
-            st.health
-        };
-        match health {
-            HealthState::Degraded => {
-                let verified = verify_sealed_segments(&wal);
-                let probe_ok = verified.is_ok() && probe_device(&wal).is_ok();
-                let mut st = wal.state.lock();
-                st.scrub_passes += 1;
-                match verified {
-                    Err(segment) => {
-                        // Durable bytes are gone: hold quarantine until an
-                        // operator intervenes.
-                        st.corrupt_segment = Some(segment);
-                    }
-                    Ok(()) if probe_ok => {
-                        st.corrupt_segment = None;
-                        if st.pending.is_empty() {
-                            st.health = HealthState::Healthy;
-                        } else {
-                            st.health = HealthState::Recovering;
-                        }
-                        drop(st);
-                        wal.work.notify_all();
-                    }
-                    Ok(()) => {}
-                }
-            }
-            // A light periodic pass while healthy: bit-rot is noticed
-            // before the next recovery depends on the bytes.
-            HealthState::Healthy if tick.is_multiple_of(64) => {
-                let verified = verify_sealed_segments(&wal);
-                let mut st = wal.state.lock();
-                st.scrub_passes += 1;
-                if let Err(segment) = verified {
-                    st.corrupt_segment = Some(segment);
-                    st.health = HealthState::Degraded;
-                    drop(st);
-                    wal.durable.notify_all();
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Re-verifies the frame CRCs of every sealed segment (structure and
-/// checksums; payloads are not decoded). Returns the first LSN of the
-/// first bad segment. Reads go through the fault-injection layer, so
-/// scheduled bit-rot is caught here like anywhere else.
-fn verify_sealed_segments(wal: &WalShared) -> std::result::Result<(), Lsn> {
-    let active = wal.active_first_lsn.load(Ordering::Relaxed);
-    let entries = match fs::read_dir(&wal.config.dir) {
-        Ok(e) => e,
-        // An unlistable directory is the probe's problem, not proof of
-        // lost durable bytes.
-        Err(_) => return Ok(()),
-    };
-    let mut firsts: Vec<Lsn> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| parse_numbered(&e.file_name().to_string_lossy(), "wal-", ".seg"))
-        .filter(|&first| first < active)
-        .collect();
-    firsts.sort_unstable();
-    for first in firsts {
-        if verify_segment(wal, first).is_err() {
-            return Err(first);
-        }
-    }
-    Ok(())
-}
-
-fn verify_segment(wal: &WalShared, first_lsn: Lsn) -> Result<()> {
-    let path = segment_path(&wal.config.dir, first_lsn);
-    let bytes = match wal.io.read(&path) {
-        Ok(bytes) => bytes,
-        // The checkpointer races this scan: it may prune a sealed
-        // segment below the low-water mark between the directory listing
-        // and this read. A vanished file is benign GC, not durable-byte
-        // loss — only a segment that exists and fails its checks may
-        // quarantine the WAL.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(io_err("scrub read", e)),
-    };
-    if bytes.len() < SEGMENT_HEADER_BYTES as usize || &bytes[..8] != SEGMENT_MAGIC {
-        return Err(corrupt("bad header"));
-    }
-    let mut offset = SEGMENT_HEADER_BYTES as usize;
-    while offset < bytes.len() {
-        let len = le_u32(&bytes, offset)? as usize;
-        let crc = le_u32(&bytes, offset + 4)?;
-        let payload = offset
-            .checked_add(FRAME_HEADER_BYTES)
-            .and_then(|start| start.checked_add(len).map(|end| (start, end)))
-            .and_then(|(start, end)| bytes.get(start..end))
-            .ok_or_else(|| corrupt("torn frame in sealed segment"))?;
-        if crc32(payload) != crc {
-            return Err(HatError::ChecksumMismatch { lsn: first_lsn });
-        }
-        offset += FRAME_HEADER_BYTES + len;
-    }
-    Ok(())
-}
-
-/// Writes and fsyncs a small probe file through the fault-injection
-/// layer: the device is considered writable again only when a *fresh*
-/// write succeeds end to end. Probes use the non-advancing
-/// [`WalIo::probe_gate`] so their wall-clock cadence never shifts where
-/// the flusher's own ops land on the fault clocks (a failed probe
-/// consumes the covering window instead — that is what lets a transient
-/// window expire while the flusher is parked).
-fn probe_device(wal: &WalShared) -> std::io::Result<()> {
-    let path = wal.config.dir.join("probe.tmp");
-    let result = (|| {
-        wal.io.probe_gate(IoClass::Write)?;
-        let mut f =
-            OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
-        f.write_all(b"hat-scrub-probe")?;
-        wal.io.probe_gate(IoClass::Sync)?;
-        if wal.config.sync {
-            f.sync_all()
-        } else {
-            Ok(())
-        }
-    })();
-    let _ = fs::remove_file(&path);
-    result
 }
 
 // ---------------------------------------------------------------------------
@@ -2286,61 +1921,100 @@ mod tests {
         assert_eq!(rec.tail.len(), 2);
     }
 
-    // -- disk-fault injection & graceful degradation ------------------------
+    // -- disk-fault injection & fail-stop -----------------------------------
 
     #[test]
-    fn fsync_fault_degrades_then_scrubber_readmits() {
-        let dir = test_dir("fsync-fault");
-        // Sync-clock ops are batch fsyncs only (per-class clocks): each
-        // serial single-record batch is one fsync, so op 6 is the 7th
-        // batch's. The second window op is consumed by the scrubber's
-        // failed probe, so exactly one durability claim is voided.
+    fn transient_fault_stops_the_wal_for_good() {
+        // One failed fsync stops the WAL's writes although the device is
+        // fine again from the next op on (PostgreSQL's PANIC rule): only a
+        // reopen takes writes again. Sync-clock ops are batch fsyncs only,
+        // and each serial single-record batch is one fsync, so op 6 is the
+        // 7th batch's.
+        let dir = test_dir("fail-stop");
         let plan = DiskFaultPlan::new()
-            .with(DiskFault { kind: DiskFaultKind::FsyncFail, at_op: 6, for_ops: 2 });
-        let config = WalConfig {
-            fault_plan: plan,
-            scrub_interval: Duration::from_millis(1),
-            ..cfg(&dir)
-        };
-        let (wal, _) = DurableWal::open(config).unwrap();
+            .with(DiskFault { kind: DiskFaultKind::FsyncFail, at_op: 6, for_ops: 1 });
+        let (wal, _) = DurableWal::open(WalConfig { fault_plan: plan, ..cfg(&dir) }).unwrap();
         let mut acked: Vec<Lsn> = Vec::new();
+        let mut in_doubt = 0u32;
         let mut shed = 0u32;
-        let mut i = 0u32;
-        while acked.len() < 12 {
-            i += 1;
-            assert!(i < 10_000, "scrubber never re-admitted the device");
-            if wal.admit().is_err() {
+        // 40 attempts run far past the one-op window.
+        for i in 0..40u32 {
+            if let Err(e) = wal.admit() {
+                assert_eq!(e, HatError::Degraded);
+                assert!(e.is_retryable() && !e.is_commit_in_doubt());
                 shed += 1;
-                std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
-            let lsn = wal.append(i as u64 + 1, &[op(i)]).unwrap();
+            let lsn = wal.append(i as u64 + 2, &[op(i)]).unwrap();
             match wal.wait_durable(lsn) {
                 Ok(()) => acked.push(lsn),
                 // Post-install failures are committed-in-doubt, never the
                 // clean pre-install `Degraded` (a client honoring the
                 // contract would double-apply on blind retry otherwise).
-                Err(HatError::DurabilityInDoubt) => shed += 1,
-                Err(e) => panic!("unexpected error: {e}"),
+                Err(e) => {
+                    assert_eq!(e, HatError::DurabilityInDoubt);
+                    in_doubt += 1;
+                }
             }
         }
+        assert_eq!((acked.len(), in_doubt, shed), (6, 1, 33));
+        assert_eq!(wal.health(), HealthState::Degraded, "no re-admission");
+        assert_eq!(wal.admit(), Err(HatError::Degraded));
+        assert_eq!(
+            wal.append(99, &[op(99)]),
+            Err(HatError::DurabilityInDoubt),
+            "a stopped WAL queues nothing"
+        );
+        assert!(!wal.is_crashed(), "a storage fault stops writes, not the engine");
         let stats = wal.stats();
-        assert!(stats.disk_faults >= 1, "fault never injected");
-        assert!(shed >= 1, "failed fsync never voided a durability claim");
-        assert_eq!(stats.quarantined_segments, 1);
-        assert!(stats.scrub_passes >= 1);
-        assert!(stats.degraded_ticks >= 1);
-        assert_eq!(wal.health(), HealthState::Healthy);
+        assert_eq!(stats.disk_faults, 1);
+        assert_eq!(stats.shed_commits, 34);
+        assert!(acked.iter().all(|&lsn| lsn <= stats.durable_lsn));
         drop(wal);
-        // Reopen on healed storage: every acked commit survived, and
-        // nothing appears that was never appended.
-        let (_, rec) = DurableWal::open(cfg(&dir)).unwrap();
-        let recovered: std::collections::HashSet<Lsn> =
-            rec.tail.iter().map(|r| r.lsn).collect();
-        for lsn in &acked {
-            assert!(recovered.contains(lsn), "acked lsn {lsn} lost");
+        // Reopen: every acked record survived, and the in-doubt frame was
+        // cut back with the segment. The reopened WAL takes writes.
+        let (wal, rec) = DurableWal::open(cfg(&dir)).unwrap();
+        assert_eq!(rec.tail.iter().map(|r| r.lsn).collect::<Vec<_>>(), acked);
+        assert_eq!(wal.health(), HealthState::Healthy);
+        wal.admit().unwrap();
+        let lsn = wal.append(100, &[op(100)]).unwrap();
+        wal.wait_durable(lsn).unwrap();
+        assert_eq!(lsn, 7);
+    }
+
+    #[test]
+    fn a_failed_io_op_anywhere_leaves_a_recoverable_prefix() {
+        // Sweep one EIO over every write op (segment creates, headers,
+        // frames) and one fsync failure over every sync op (batch fsyncs
+        // and rotation seals) of a run that rotates every three records:
+        // wherever the WAL stops, it reopens with exactly the acked
+        // records and takes writes again.
+        for kind in [DiskFaultKind::WriteEio, DiskFaultKind::FsyncFail] {
+            for at_op in 0..24u64 {
+                let dir = test_dir(&format!("sweep-{at_op}"));
+                let plan = DiskFaultPlan::new().with(DiskFault { kind, at_op, for_ops: 1 });
+                let config = WalConfig { segment_bytes: 160, fault_plan: plan, ..cfg(&dir) };
+                let mut acked: Vec<Lsn> = Vec::new();
+                // Write ops 0 and 1 are open's own segment create and
+                // header: open fails and the directory holds nothing.
+                if let Ok((wal, _)) = DurableWal::open(config) {
+                    for i in 0..20u32 {
+                        if wal.admit().is_err() {
+                            break;
+                        }
+                        let lsn = wal.append(i as u64 + 2, &[op(i)]).unwrap();
+                        if wal.wait_durable(lsn).is_ok() {
+                            acked.push(lsn);
+                        }
+                    }
+                }
+                let (wal, rec) = DurableWal::open(cfg(&dir))
+                    .unwrap_or_else(|e| panic!("{kind:?} at op {at_op}: reopen failed: {e}"));
+                let recovered: Vec<Lsn> = rec.tail.iter().map(|r| r.lsn).collect();
+                assert_eq!(recovered, acked, "{kind:?} at op {at_op}");
+                append_n(&wal, 1);
+            }
         }
-        assert!(recovered.len() <= i as usize, "ghost commits recovered");
     }
 
     #[test]
@@ -2354,22 +2028,16 @@ mod tests {
             at_op: 3,
             for_ops: u64::MAX,
         });
-        let config = WalConfig {
-            fault_plan: plan,
-            scrub_interval: Duration::from_millis(1),
-            ..cfg(&dir)
-        };
-        let (wal, _) = DurableWal::open(config).unwrap();
+        let (wal, _) = DurableWal::open(WalConfig { fault_plan: plan, ..cfg(&dir) }).unwrap();
         let l1 = wal.append(2, &[op(1)]).unwrap();
         wal.wait_durable(l1).unwrap();
         let l2 = wal.append(3, &[op(2)]).unwrap();
-        // The wait-path error is committed-in-doubt (l2 is installed and
-        // re-queued); the admission-path error is a clean retryable abort.
+        // The wait-path error is committed-in-doubt (l2 is installed but
+        // never acknowledged); the admission-path error is a clean
+        // retryable abort.
         let err = wal.wait_durable(l2).unwrap_err();
         assert_eq!(err, HatError::DurabilityInDoubt);
         assert!(err.is_commit_in_doubt() && err.is_retryable());
-        // The scrubber keeps probing, but the device never heals.
-        std::thread::sleep(Duration::from_millis(20));
         assert_eq!(wal.health(), HealthState::Degraded);
         let shed_err = wal.admit().unwrap_err();
         assert_eq!(shed_err, HatError::Degraded);
@@ -2378,10 +2046,7 @@ mod tests {
         let stats = wal.stats();
         assert_eq!(stats.durable_lsn, 1);
         assert!(stats.disk_faults >= 1);
-        assert!(stats.scrub_passes >= 1);
-        assert!(stats.degraded_ticks >= 1);
         assert!(stats.shed_commits >= 1);
-        assert_eq!(stats.quarantined_segments, 1);
         drop(wal);
         // Reopen on healed storage: the acked commit survived; the shed
         // one was never written — no ghosts.
@@ -2419,89 +2084,6 @@ mod tests {
     }
 
     #[test]
-    fn scrub_treats_vanished_segment_as_benign_gc() {
-        // The scrubber lists sealed segments without the state lock, so
-        // the checkpointer may prune one below the low-water mark between
-        // the listing and the read. A vanished file must verify as benign
-        // GC — treating it as corruption would pin `admit()` on the
-        // terminal `Quarantined` for what was routine cleanup.
-        let dir = test_dir("scrub-race");
-        let config = WalConfig { segment_bytes: 256, ..cfg(&dir) };
-        let (wal, _) = DurableWal::open(config).unwrap();
-        append_n(&wal, 40);
-        assert!(
-            verify_segment(&wal.inner, 999_999).is_ok(),
-            "a pruned segment is not durable-byte loss"
-        );
-        // The WAL still serves and stays healthy after such a scan.
-        assert_eq!(wal.health(), HealthState::Healthy);
-        append_n(&wal, 1);
-    }
-
-    #[test]
-    fn idle_scrubber_does_no_background_io_without_a_fault_plan() {
-        // Fault-free benchmark configs must not pay for the scrubber: with
-        // an empty plan it parks instead of ticking, so a measured run has
-        // zero background verify reads competing with the workload.
-        let dir = test_dir("idle-scrub");
-        let config = WalConfig { scrub_interval: Duration::from_millis(1), ..cfg(&dir) };
-        let (wal, _) = DurableWal::open(config).unwrap();
-        append_n(&wal, 8);
-        // 200 ms at a 1 ms cadence would be ~3 full verify passes under an
-        // always-on scrubber; a parked one never reads a byte.
-        std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(wal.stats().scrub_passes, 0, "scrubber ticked while parked");
-        append_n(&wal, 1);
-        assert_eq!(wal.health(), HealthState::Healthy);
-    }
-
-    #[test]
-    fn fault_clocks_are_immune_to_scrubber_timing() {
-        // Per-class op clocks: the wall-clock-driven scrubber (verify
-        // reads, device probes) must not shift where write/sync fault
-        // windows land on the flusher. Two identical serial runs under
-        // very different scrub cadences inject the same fault count and
-        // quarantine the same number of segments.
-        let run = |tag: &str, scrub: Duration| -> (u64, u64) {
-            let dir = test_dir(tag);
-            let plan = DiskFaultPlan::new()
-                .with(DiskFault { kind: DiskFaultKind::FsyncFail, at_op: 5, for_ops: 3 })
-                .with(DiskFault { kind: DiskFaultKind::WriteEio, at_op: 20, for_ops: 2 });
-            let config = WalConfig { fault_plan: plan, scrub_interval: scrub, ..cfg(&dir) };
-            let (wal, _) = DurableWal::open(config).unwrap();
-            let mut i = 0u32;
-            let mut acked = 0u32;
-            while acked < 30 {
-                i += 1;
-                assert!(i < 50_000, "never recovered ({tag})");
-                if wal.admit().is_err() {
-                    std::thread::sleep(Duration::from_micros(100));
-                    continue;
-                }
-                let lsn = wal.append(i as u64 + 1, &[op(i)]).unwrap();
-                match wal.wait_durable(lsn) {
-                    Ok(()) => acked += 1,
-                    Err(HatError::DurabilityInDoubt) => {}
-                    Err(e) => panic!("unexpected error ({tag}): {e}"),
-                }
-            }
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while wal.health() != HealthState::Healthy {
-                assert!(std::time::Instant::now() < deadline, "stuck degraded ({tag})");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let stats = wal.stats();
-            (stats.disk_faults, stats.quarantined_segments)
-        };
-        // Each window fails the flusher once and one probe once (the
-        // probe's failure consumes the window), whatever the cadence.
-        let fast = run("det-fast", Duration::from_millis(1));
-        let slow = run("det-slow", Duration::from_millis(10));
-        assert_eq!(fast, slow, "scrubber cadence changed the fault schedule");
-        assert_eq!(fast, (4, 2));
-    }
-
-    #[test]
     fn seeded_plans_are_deterministic() {
         assert_eq!(DiskFaultPlan::seeded(7), DiskFaultPlan::seeded(7));
         assert!(!DiskFaultPlan::seeded(7).is_empty());
@@ -2516,20 +2098,16 @@ mod tests {
             let dir = test_dir(&format!("chaos-{seed}"));
             let config = WalConfig {
                 fault_plan: DiskFaultPlan::seeded(seed),
-                scrub_interval: Duration::from_millis(1),
                 segment_bytes: 512,
                 ..cfg(&dir)
             };
             let (wal, _) = DurableWal::open(config).unwrap();
+            // Drive until the first failing window stops the WAL (a seed
+            // of stalls only never does) or 30 records are acked.
             let mut acked: Vec<Lsn> = Vec::new();
             let mut attempts = 0u32;
-            while acked.len() < 30 {
+            while acked.len() < 30 && wal.admit().is_ok() {
                 attempts += 1;
-                assert!(attempts < 50_000, "seed {seed}: never recovered");
-                if wal.admit().is_err() {
-                    std::thread::sleep(Duration::from_micros(200));
-                    continue;
-                }
                 let lsn = wal.append(attempts as u64 + 1, &[op(attempts)]).unwrap();
                 match wal.wait_durable(lsn) {
                     Ok(()) => acked.push(lsn),
@@ -2537,6 +2115,7 @@ mod tests {
                     Err(e) => panic!("seed {seed}: unexpected error: {e}"),
                 }
             }
+            assert!(acked.iter().all(|&lsn| lsn <= wal.durable_lsn()), "seed {seed}");
             drop(wal);
             let (_, rec) = DurableWal::open(cfg(&dir)).unwrap();
             let recovered: std::collections::HashSet<Lsn> =

@@ -4,19 +4,17 @@
 //! Each scenario arms a [`DiskFaultPlan`] (transient EIO, fsync failure,
 //! persistent ENOSPC, write stalls) against the WAL of a `ShdEngine` in
 //! `DurabilityMode::Fsync`, drives explicit payment transactions through
-//! the faults with client-side retries, and checks the degradation
-//! contract:
+//! the faults, and checks the fail-stop contract:
 //!
-//! 1. **Graceful degradation** — storage faults surface as typed errors,
-//!    never as a panic or a process crash: commits shed *at admission*
-//!    abort cleanly with retryable [`HatError::Degraded`], while a fault
-//!    that voids the durability wait *after* install is the
+//! 1. **Typed errors, no crash** — storage faults surface as typed
+//!    errors, never as a panic or a process crash: commits shed *at
+//!    admission* abort cleanly with retryable [`HatError::Degraded`],
+//!    while a fault that voids the durability wait *after* install is the
 //!    commit-in-doubt [`HatError::DurabilityInDoubt`]; analytics keep
 //!    serving throughout.
-//! 2. **Recovery to Healthy** — once the fault window passes, the
-//!    background scrubber re-verifies the sealed segments, probes the
-//!    device, and the health gauge returns to `Healthy`; transactional
-//!    throughput recovers in the same run.
+//! 2. **Fail-stop** — the first failed write or fsync stops the WAL's
+//!    writes for the rest of the run, even when the fault was transient;
+//!    only reopening the directory takes writes again.
 //! 3. **Durability invariants across faults and crashes** — every
 //!    acknowledged payment survives reopen, recovery invents nothing,
 //!    and supplier YTD equals the sum of recovered HISTORY amounts.
@@ -27,7 +25,7 @@
 //! failing seed's evidence can be archived.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hattrick_repro::common::ids::{history, supplier, TableId};
 use hattrick_repro::common::rng::HatRng;
@@ -63,15 +61,13 @@ fn wal_dir(tag: &str, seed: u64) -> PathBuf {
 }
 
 /// Engine config with the given fault plan armed against the WAL. Small
-/// segments cross rotation boundaries mid-fault; a fast scrubber keeps
-/// the Degraded window (and so the test) short.
+/// segments cross rotation boundaries mid-fault.
 fn chaos_config(dir: &Path, plan: DiskFaultPlan) -> EngineConfig {
     EngineConfig::builder()
         .durability(DurabilityMode::Fsync(WalConfig {
             segment_bytes: 4096,
             fault_plan: plan,
             max_backlog: 64,
-            scrub_interval: Duration::from_millis(1),
             ..WalConfig::new(dir)
         }))
         .build()
@@ -181,65 +177,29 @@ struct Traffic {
     attempted: Vec<i64>,
 }
 
-/// Drives payments until `want` of them are acknowledged, retrying
-/// through failures with a fresh (unique) amount per attempt — shed
-/// commits aborted cleanly, and commit-in-doubt outcomes must never be
-/// re-executed verbatim anyway. Returns Err if the budget runs out
-/// before `want` acks (a fault window that never clears).
-fn drive_acked(
-    engine: &ShdEngine,
-    seed: u64,
-    want: usize,
-    start_amount: i64,
-) -> Result<Traffic, Traffic> {
+/// Drives serial payments, each with a fresh (unique) amount, until
+/// `want` of them are acknowledged or a storage fault stops the WAL. The
+/// payment the fault hits is committed-in-doubt and is never re-executed
+/// verbatim.
+fn drive_acked(engine: &ShdEngine, seed: u64, want: usize, start_amount: i64) -> Traffic {
     let mut rng = HatRng::seeded(seed);
     let mut acked = Vec::new();
     let mut attempted = Vec::new();
     let mut amount = start_amount;
-    let mut consecutive_failures = 0u32;
-    for _ in 0..50_000 {
-        if acked.len() >= want {
-            return Ok(Traffic { acked, attempted });
-        }
+    while acked.len() < want && engine.kernel().health() == HealthState::Healthy {
+        assert!(attempted.len() < 50_000, "attempt budget exhausted (seed {seed})");
         amount += 1;
         let supp = rng.range_u32(1, NSUPP);
         attempted.push(amount);
         match payment(engine, supp, amount) {
-            Ok(()) => {
-                acked.push(amount);
-                consecutive_failures = 0;
-            }
-            Err(e) => {
-                assert!(
-                    e.is_retryable(),
-                    "chaos surfaces retryable errors, got {e} (seed {seed})"
-                );
-                // First retries are immediate (the shed counter must see
-                // the degraded window before the scrubber heals it);
-                // sustained failure backs off like the harness would.
-                consecutive_failures += 1;
-                if consecutive_failures > 2 {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
+            Ok(()) => acked.push(amount),
+            Err(e) => assert!(
+                e.is_retryable(),
+                "chaos surfaces retryable errors, got {e} (seed {seed})"
+            ),
         }
     }
-    Err(Traffic { acked, attempted })
-}
-
-/// Blocks until the health gauge returns to `Healthy` (bounded).
-fn wait_healthy(engine: &ShdEngine, seed: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if engine.kernel().health() == HealthState::Healthy {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "scrubber failed to re-admit within 10s (seed {seed})"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    Traffic { acked, attempted }
 }
 
 /// Core durability assertions after reopening the directory.
@@ -270,14 +230,13 @@ fn seeded_fault_plan_degrades_and_recovers_without_losing_acks() {
         let dir = wal_dir("seeded", seed);
         let traffic = {
             let engine = open_engine(&dir, DiskFaultPlan::seeded(seed), true);
-            // Enough acks to drive every per-class fault clock through
-            // every seeded window (they end below op ~300 on their own
-            // clock; each acked payment advances both the write clock —
-            // its frame — and the sync clock — its group-commit fsync —
-            // at least once).
-            let traffic = drive_acked(&engine, seed, 320, 100_000)
-                .expect("seeded fault windows are finite");
-            wait_healthy(&engine, seed);
+            // Until the WAL stops, or enough acks to drive every per-class
+            // fault clock through every seeded window (they end below op
+            // ~300 on their own clock; each acked payment advances both
+            // the write clock — its frame — and the sync clock — its
+            // group-commit fsync — at least once).
+            let traffic = drive_acked(&engine, seed, 320, 100_000);
+            let stopped = engine.kernel().health() != HealthState::Healthy;
             let stats = engine.metrics();
             // A window whose single op lands on the wrong I/O class
             // injects nothing; but any observed failure must trace back
@@ -295,12 +254,18 @@ fn seeded_fault_plan_degrades_and_recovers_without_losing_acks() {
                     "fault-free run acks everything (seed {seed})"
                 );
             }
-            assert_eq!(stats.gauge(names::HEALTH_STATE), 0, "gauge agrees with the kernel (seed {seed})");
+            assert_eq!(
+                stats.gauge(names::HEALTH_STATE),
+                u64::from(stopped),
+                "gauge agrees with the kernel (seed {seed})"
+            );
             traffic
         };
-        // Reopen with a clean plan: recovery must honor every ack.
+        // Reopen with a clean plan: recovery must honor every ack, and
+        // the reopened WAL takes writes again.
         let engine = open_engine(&dir, DiskFaultPlan::new(), false);
         assert_recovered(&engine, &traffic, "seeded");
+        payment(&engine, 1, 999_999).expect("reopen brings writes back");
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -311,8 +276,9 @@ fn fsync_fault_then_crash_loses_no_acked_commits() {
     for seed in seeds() {
         let dir = wal_dir("fsync-crash", seed);
         // The window sits on the sync-class clock, so it voids the
-        // fsyncs at sync-ops 30..34 (+seed skew) directly; 40 serial
-        // payments (one group-commit fsync each) sweep well past it.
+        // fsync at sync-op 30 (+seed skew) directly; 40 serial payments
+        // (one group-commit fsync each) would sweep past it, but the
+        // first failure stops the WAL.
         let plan = DiskFaultPlan::new().with(DiskFault {
             kind: DiskFaultKind::FsyncFail,
             at_op: 30 + seed % 7,
@@ -320,25 +286,22 @@ fn fsync_fault_then_crash_loses_no_acked_commits() {
         });
         let mut traffic = {
             let engine = open_engine(&dir, plan, true);
-            let traffic =
-                drive_acked(&engine, seed, 40, 200_000).expect("fault window is finite");
+            let mut traffic = drive_acked(&engine, seed, 40, 200_000);
+            assert!(traffic.acked.len() < 40, "fsync fault stopped the WAL (seed {seed})");
+            // A stopped WAL sheds the next commit at admission.
+            traffic.attempted.push(250_000);
+            let shed = payment(&engine, 1, 250_000).expect_err("stopped WAL sheds");
+            assert!(matches!(shed, HatError::Degraded), "got {shed} (seed {seed})");
             let stats = engine.metrics();
             assert!(stats.counter(names::DISK_FAULTS) >= 1, "fsync fault fired (seed {seed})");
             assert!(
                 stats.counter(names::WAL_SHED_COMMITS) >= 1,
                 "degraded WAL sheds commits (seed {seed})"
             );
-            // The scrubber must re-admit before the crash half of the
-            // scenario, so the kill lands on a healthy WAL.
-            wait_healthy(&engine, seed);
-            assert!(
-                stats.counter(names::WAL_QUARANTINED) >= 1 || stats.counter(names::WAL_SCRUB_PASSES) >= 1,
-                "degradation left a trace (seed {seed})"
-            );
             traffic
         };
-        // Now the crash: reopen with the fault behind us, arm a kill, and
-        // die mid-traffic. Recovery after *both* a storage fault and a
+        // Now the crash: reopen — which is what brings writes back after
+        // the fault — arm a kill, and die mid-traffic. Recovery after *both* a storage fault and a
         // process crash must still honor every acknowledgement.
         let traffic = {
             let engine = open_engine(&dir, DiskFaultPlan::new(), false);
@@ -449,36 +412,20 @@ fn persistent_enospc_sheds_writes_but_keeps_serving_reads() {
 fn wait_path_failures_are_commit_in_doubt_not_clean_aborts() {
     // The two failure surfaces a storage fault exposes must classify
     // differently. A payment whose versions installed before its fsync
-    // failed is committed-in-doubt: already visible to readers, durable
-    // once the scrubber re-admits the WAL — re-executing it verbatim
-    // would double-apply. A payment shed at admission while the engine
-    // is degraded aborted cleanly: nothing installed, safe to retry
-    // blindly. The error types must carry that distinction.
+    // failed is committed-in-doubt: already visible to readers, and its
+    // frame may or may not survive a reopen — re-executing it verbatim
+    // could double-apply. A payment shed at admission by the stopped
+    // WAL aborted cleanly: nothing installed, safe to retry blindly. The
+    // error types must carry that distinction.
     for seed in seeds() {
         let dir = wal_dir("in-doubt", seed);
-        // An 8-op fsync window: the first failure degrades the flusher
-        // and the scrubber's first device probe also fails (consuming
-        // the window), so Degraded holds until the *next* probe — long
-        // enough for the follow-up payment to observe the admission
-        // shed deterministically.
+        // A one-op fsync window: transient, yet the WAL stays stopped.
         let plan = DiskFaultPlan::new().with(DiskFault {
             kind: DiskFaultKind::FsyncFail,
             at_op: 3,
-            for_ops: 8,
+            for_ops: 1,
         });
-        let config = EngineConfig::builder()
-            .durability(DurabilityMode::Fsync(WalConfig {
-                segment_bytes: 4096,
-                fault_plan: plan,
-                max_backlog: 64,
-                scrub_interval: Duration::from_millis(50),
-                ..WalConfig::new(&dir)
-            }))
-            .build();
-        let engine = ShdEngine::try_new(config).expect("open engine");
-        let rows: Vec<_> = (1..=NSUPP).map(supplier_row).collect();
-        engine.load(TableId::Supplier, &mut rows.into_iter()).unwrap();
-        engine.finish_load().unwrap();
+        let engine = open_engine(&dir, plan, true);
 
         // Serial payments until the window voids one durability wait.
         let mut acked = Vec::new();
@@ -500,8 +447,8 @@ fn wait_path_failures_are_commit_in_doubt_not_clean_aborts() {
                 }
             }
         };
-        // While the window still holds the WAL degraded, a fresh commit
-        // is shed at admission: a clean, not-in-doubt abort.
+        // The stopped WAL sheds a fresh commit at admission: a clean,
+        // not-in-doubt abort.
         amount += 1;
         let shed_amount = amount;
         attempted.push(shed_amount);
@@ -522,59 +469,18 @@ fn wait_path_failures_are_commit_in_doubt_not_clean_aborts() {
             !live.contains(&shed_amount),
             "shed payment must not install (seed {seed})"
         );
-        // And after re-admission + reopen it is durable too — exactly
-        // why a contract-following client must not re-execute it.
-        wait_healthy(&engine, seed);
+        // After reopen the in-doubt payment may or may not be there
+        // (fail-stop cut its frame back with the segment); either way it
+        // is whole, which `assert_recovered`'s YTD = Σ history checks.
         let traffic = Traffic { acked, attempted };
         drop(engine);
         let engine = open_engine(&dir, DiskFaultPlan::new(), false);
         let recovered = recovered_amounts(&engine);
         assert!(
-            recovered.contains(&in_doubt_amount),
-            "in-doubt payment durable after re-admission (seed {seed})"
-        );
-        assert!(
             !recovered.contains(&shed_amount),
             "shed payment resurrected by recovery (seed {seed})"
         );
         assert_recovered(&engine, &traffic, "in-doubt");
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn throughput_recovers_after_the_fault_clears() {
-    for seed in seeds() {
-        let dir = wal_dir("recover", seed);
-        let plan = DiskFaultPlan::new().with(DiskFault {
-            kind: DiskFaultKind::FsyncFail,
-            at_op: 24,
-            for_ops: 4,
-        });
-        let engine = open_engine(&dir, plan, true);
-        let traffic =
-            drive_acked(&engine, seed, 60, 500_000).expect("fault window is finite");
-        wait_healthy(&engine, seed);
-        let before = engine.metrics();
-        assert!(before.counter(names::DISK_FAULTS) >= 1, "fault fired (seed {seed})");
-        assert!(before.counter(names::WAL_SCRUB_PASSES) >= 1, "scrubber drove re-admission (seed {seed})");
-        assert_eq!(before.gauge(names::HEALTH_STATE), 0, "back to Healthy (seed {seed})");
-        // Post-recovery burst: every commit acknowledges first try — the
-        // WAL sheds nothing once re-admitted.
-        let mut rng = HatRng::seeded(seed ^ 0xBEEF);
-        let mut amount = 600_000;
-        for _ in 0..30 {
-            amount += 1;
-            payment(&engine, rng.range_u32(1, NSUPP), amount)
-                .expect("healthy WAL acknowledges first try");
-        }
-        let after = engine.metrics();
-        assert_eq!(
-            after.counter(names::WAL_SHED_COMMITS), before.counter(names::WAL_SHED_COMMITS),
-            "no shedding after recovery (seed {seed})"
-        );
-        assert!(traffic.acked.len() >= 60, "target throughput reached (seed {seed})");
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -591,7 +497,7 @@ fn write_stalls_slow_commits_without_degrading() {
         });
         let engine = open_engine(&dir, plan, true);
         // Stalls are not errors: every payment eventually acknowledges
-        // and the health ladder never moves.
+        // and the WAL never stops.
         let mut rng = HatRng::seeded(seed);
         let mut amount = 700_000;
         for _ in 0..30 {
