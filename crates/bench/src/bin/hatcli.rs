@@ -30,6 +30,7 @@ use hat_engine::{
     EngineConfig, HtapEngine, IndexProfile, IsoConfig, IsoEngine, LearnerConfig,
     LearnerEngine, LearnerProfile, QueryOpts, ReplicationMode, ShdEngine, WalConfig,
 };
+use hat_common::telemetry::names;
 use hat_txn::IsolationLevel;
 use hattrick::artifact::{RunArtifact, RunConfig};
 use hattrick::freshness::FreshnessAgg;
@@ -311,9 +312,20 @@ fn make_harness(
         }
     };
     let engine = build_engine(engine_name, durability, parse_vacuum(args))?;
-    eprintln!("loading {} at SF {sf} ...", engine.name());
     let data = generate(ScaleFactor(sf), seed);
-    data.load_into(engine.as_ref()).expect("load failed");
+    // A `--wal-dir` that already holds a database comes back through
+    // recovery; loading on top of it would duplicate every table.
+    let recovered = engine.metrics().gauge(names::LIVE_VERSIONS);
+    if recovered > 0 {
+        eprintln!(
+            "{}: recovered {recovered} live row versions from the WAL directory; not loading",
+            engine.name()
+        );
+        engine.finish_load().expect("finish_load failed");
+    } else {
+        eprintln!("loading {} at SF {sf} ...", engine.name());
+        data.load_into(engine.as_ref()).expect("load failed");
+    }
     // `--retry-budget <cap>` arms the shared retry budget (tokens; refill
     // ratio stays at the default 0.1 per in-deadline success). The budget
     // is what turns a metastable retry storm into accounted give-ups;
@@ -861,6 +873,30 @@ mod tests {
         // `point`-only flags are not `frontier` flags.
         let frontier = accepted_flags("frontier").unwrap();
         assert_eq!(parse(&["-t", "2"]).unknown(&frontier).as_deref(), Some("-t"));
+    }
+
+    #[test]
+    fn reopening_a_wal_dir_does_not_load_the_data_again() {
+        let dir = std::env::temp_dir().join(format!("hatcli-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = parse(&[
+            "--durability", "fsync", "--wal-dir", dir.to_str().unwrap(), "--warmup-ms", "20",
+            "--measure-ms", "60",
+        ]);
+        let durability = parse_durability(&args).unwrap();
+        // One short point per open, then close the engine and reopen it.
+        let live_versions = || {
+            let harness = make_harness("shared", 0.002, 7, &durability, &args).unwrap();
+            harness.run_point(1, 0).unwrap();
+            harness.engine().metrics().gauge(names::LIVE_VERSIONS)
+        };
+        let first = live_versions();
+        let second = live_versions();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(first > 0);
+        // The reopen recovers the first run's rows and must not add a
+        // second copy of the load (which would nearly double the count).
+        assert!(second < first + first / 2, "first run {first}, reopen {second}");
     }
 
     #[test]

@@ -50,6 +50,10 @@ pub mod names {
     /// encoded/decoded ratio is the compression ratio.
     pub const COLSTORE_BYTES_DECODED: &str = "colstore.bytes_decoded_equiv";
     pub const PROBE_NANOS: &str = "probe.nanos";
+    /// Fact join keys the vectorized probe looked up, summed over joins.
+    pub const PROBE_JOIN_LOOKUPS: &str = "probe.join_lookups";
+    /// Fact rows the vectorized probe folded into an aggregate.
+    pub const PROBE_ROWS_AGGREGATED: &str = "probe.rows_aggregated";
     pub const PROBE_WORKERS_MAX: &str = "probe.workers_max";
     pub const AGG_SATURATIONS: &str = "agg.saturations";
     /// End-to-end commit call duration (install + durability wait), ns.

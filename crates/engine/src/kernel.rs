@@ -268,6 +268,10 @@ pub struct KernelStats {
     pub scan_rows_filtered: Arc<Counter>,
     /// Total probe-phase wall time, nanoseconds.
     pub probe_nanos: Arc<Counter>,
+    /// Fact join keys the vectorized probe looked up, summed over joins.
+    pub probe_join_lookups: Arc<Counter>,
+    /// Fact rows the vectorized probe folded into an aggregate.
+    pub probe_rows_aggregated: Arc<Counter>,
     /// Largest probe worker count any query used.
     pub probe_workers_max: Arc<Gauge>,
     /// Aggregates saturated at the `i64` boundary.
@@ -309,6 +313,8 @@ impl Default for KernelStats {
             scan_rows_pruned: registry.counter(names::SCAN_ROWS_PRUNED),
             scan_rows_filtered: registry.counter(names::SCAN_ROWS_FILTERED),
             probe_nanos: registry.counter(names::PROBE_NANOS),
+            probe_join_lookups: registry.counter(names::PROBE_JOIN_LOOKUPS),
+            probe_rows_aggregated: registry.counter(names::PROBE_ROWS_AGGREGATED),
             probe_workers_max: registry.gauge(names::PROBE_WORKERS_MAX),
             agg_saturations: registry.counter(names::AGG_SATURATIONS),
             commit_span: registry.histogram(names::SPAN_COMMIT),
@@ -335,6 +341,8 @@ impl KernelStats {
         self.scan_rows_pruned.add(s.rows_pruned_zonemap);
         self.scan_rows_filtered.add(s.rows_filtered_vectorized);
         self.probe_nanos.add(s.probe_nanos);
+        self.probe_join_lookups.add(s.join_lookups);
+        self.probe_rows_aggregated.add(s.rows_aggregated);
         self.probe_workers_max.set_max(s.workers as u64);
         self.agg_saturations.add(s.agg_saturations);
         self.build_span.record(s.build_nanos);

@@ -5,7 +5,9 @@
 //! rows each), the executor evaluates the fact filter as vectorized
 //! kernels that tighten a *selection vector* of batch-relative row
 //! indices, and only surviving rows are materialized for join probing and
-//! aggregation (late materialization).
+//! aggregation (late materialization): [`gather_u32`] and [`gather_money`]
+//! copy one column's selected values into a plain vector, dispatching on
+//! the column's encoding once per batch rather than once per row.
 //!
 //! Kernels work on the encoded domain wherever the storage allows:
 //!
@@ -25,10 +27,9 @@
 //! rest.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use hat_common::{ColId, Money, Row};
-use hat_storage::colstore::{ColumnData, RleCursor, Segment};
+use hat_common::{ColId, Row};
+use hat_storage::colstore::{ColumnData, Segment};
 
 use crate::predicate::{ColPredicate, Predicate};
 use crate::view::RowRef;
@@ -218,66 +219,53 @@ fn str_test(conjunct: &ColPredicate, s: &str) -> bool {
     }
 }
 
-/// Late-materialization accessor for the surviving rows of one batch.
+/// Gathers `u32` column `col` at the selected rows of `batch` into `out`
+/// (cleared first), one value per entry of `sel`, in `sel` order.
 ///
-/// The aggregation fold walks the selection vector in ascending order;
-/// for RLE columns the reader threads a [`RleCursor`] per column so each
-/// access is amortized O(1) instead of a binary search ([`RleU32::get`]'s
-/// pathology). Other encodings read directly.
-pub struct BatchReader<'a> {
-    batch: &'a ScanBatch<'a>,
-    /// Per-column RLE cursors, grown on first touch.
-    cursors: Vec<RleCursor>,
+/// This is the probe's late materialization: the encoding is dispatched
+/// once per call, not once per row, and RLE columns are expanded run at
+/// a time instead of searched per row. `sel` must be ascending.
+pub fn gather_u32(batch: &ScanBatch<'_>, col: ColId, sel: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    match batch {
+        ScanBatch::Rows(rows) => {
+            out.extend(sel.iter().map(|&i| rows[i as usize][col].as_u32().expect("typed row")))
+        }
+        ScanBatch::Cols { seg, lo, .. } => match seg.col(col) {
+            ColumnData::U32(v) => out.extend(sel.iter().map(|&i| v[lo + i as usize])),
+            ColumnData::U32Packed(p) => out.extend(sel.iter().map(|&i| p.get(lo + i as usize))),
+            ColumnData::U32Rle(r) => {
+                // Expand the runs covering the selection's span, then pick
+                // the selected rows in place: `sel` is ascending, so slot
+                // `k` is read from `sel[k] - first >= k` before any later
+                // write can reach it.
+                let (Some(&first), Some(&last)) = (sel.first(), sel.last()) else { return };
+                let (first, last) = (first as usize, last as usize);
+                r.decode_into(lo + first, lo + last + 1, out);
+                if sel.len() < out.len() {
+                    for (k, &i) in sel.iter().enumerate() {
+                        out[k] = out[i as usize - first];
+                    }
+                    out.truncate(sel.len());
+                }
+            }
+            _ => panic!("gather_u32 on non-u32 column {col}"),
+        },
+    }
 }
 
-impl<'a> BatchReader<'a> {
-    /// A reader over `batch`.
-    pub fn new(batch: &'a ScanBatch<'a>) -> Self {
-        BatchReader { batch, cursors: Vec::new() }
-    }
-
-    #[inline]
-    fn cursor(&mut self, col: ColId) -> &mut RleCursor {
-        if col >= self.cursors.len() {
-            self.cursors.resize_with(col + 1, RleCursor::default);
-        }
-        &mut self.cursors[col]
-    }
-
-    /// `u32` accessor for batch-relative row `i`.
-    #[inline]
-    pub fn u32(&mut self, col: ColId, i: usize) -> u32 {
-        match self.batch {
-            ScanBatch::Rows(rows) => rows[i][col].as_u32().expect("typed row"),
-            ScanBatch::Cols { seg, lo, .. } => match seg.col(col) {
-                ColumnData::U32Rle(r) => {
-                    let idx = lo + i;
-                    self.cursor(col).value_at(r, idx)
-                }
-                other => other.u32_at(lo + i),
-            },
-        }
-    }
-
-    /// Money accessor.
-    #[inline]
-    pub fn money(&mut self, col: ColId, i: usize) -> Money {
-        match self.batch {
-            ScanBatch::Rows(rows) => rows[i][col].as_money().expect("typed row"),
-            ScanBatch::Cols { seg, lo, .. } => seg.col(col).money_at(lo + i),
-        }
-    }
-
-    /// Cheap shared-string accessor (group keys).
-    #[inline]
-    pub fn arc_str(&mut self, col: ColId, i: usize) -> Arc<str> {
-        match self.batch {
-            ScanBatch::Rows(rows) => match &rows[i][col] {
-                hat_common::Value::Str(s) => Arc::clone(s),
-                other => panic!("expected str, got {}", other.type_name()),
-            },
-            ScanBatch::Cols { seg, lo, .. } => Arc::clone(seg.col(col).arc_str_at(lo + i)),
-        }
+/// Gathers money column `col` at the selected rows of `batch` into `out`
+/// as cents (cleared first), in `sel` order.
+pub fn gather_money(batch: &ScanBatch<'_>, col: ColId, sel: &[u32], out: &mut Vec<i64>) {
+    out.clear();
+    match batch {
+        ScanBatch::Rows(rows) => out.extend(
+            sel.iter().map(|&i| rows[i as usize][col].as_money().expect("typed row").cents()),
+        ),
+        ScanBatch::Cols { seg, lo, .. } => match seg.col(col) {
+            ColumnData::Money(v) => out.extend(sel.iter().map(|&i| v[lo + i as usize])),
+            _ => panic!("gather_money on non-money column {col}"),
+        },
     }
 }
 
@@ -285,7 +273,7 @@ impl<'a> BatchReader<'a> {
 mod tests {
     use super::*;
     use hat_common::value::row_from;
-    use hat_common::{TableId, Value};
+    use hat_common::{Money, TableId, Value};
     use hat_storage::colstore::SegmentBuilder;
 
     /// History rows: (orderkey u64, custkey u32, amount money).
@@ -421,23 +409,50 @@ mod tests {
     }
 
     #[test]
-    fn batch_reader_matches_rowref_accessors() {
-        let seg = seg_of(
+    fn gathers_match_rowref_accessors() {
+        // One column per encoding the builder picks for u32: long runs
+        // (RLE), narrow values (packed), and an uncompressed segment.
+        let rle = seg_of(
             (0..150).map(|i| history_row(i, (i / 40) as u32, i as i64 * 3)),
             TableId::History,
         );
-        let batch = ScanBatch::Cols { seg: &seg, lo: 10, len: 120 };
-        let mut reader = BatchReader::new(&batch);
-        // Ascending walk (the aggregation pattern) plus a backward jump.
-        for i in [0usize, 1, 5, 60, 61, 119, 3, 80] {
-            let r = batch.row_ref(i);
-            assert_eq!(reader.u32(1, i), r.u32(1), "row {i}");
-            assert_eq!(reader.money(2, i), r.money(2), "row {i}");
+        assert!(matches!(rle.col(1), ColumnData::U32Rle(_)));
+        let packed = seg_of(
+            (0..150).map(|i| history_row(i, (i % 97) as u32, i as i64 * 3)),
+            TableId::History,
+        );
+        assert!(matches!(packed.col(1), ColumnData::U32Packed(_)));
+        let mut b = SegmentBuilder::new(TableId::History).without_compression();
+        for i in 0..150u64 {
+            b.push(1, history_row(i, (i % 97) as u32, i as i64 * 3));
         }
-        let rows: Vec<Row> = (0..5).map(|i| history_row(i, i as u32, 7)).collect();
-        let batch = ScanBatch::Rows(&rows);
-        let mut reader = BatchReader::new(&batch);
-        assert_eq!(reader.u32(1, 4), 4);
-        assert_eq!(reader.money(2, 0).cents(), 7);
+        let plain = b.build();
+        assert!(matches!(plain.col(1), ColumnData::U32(_)));
+        assert!(matches!(plain.col(2), ColumnData::Money(_)));
+
+        let rows: Vec<Row> =
+            (0..150).map(|i| history_row(i, (i / 40) as u32, i as i64 * 3)).collect();
+        // Sparse, run-crossing selections, an empty one, and every row.
+        let sels: [Vec<u32>; 4] =
+            [vec![0, 1, 5, 29, 30, 31, 60, 61, 119], vec![], (0..120).collect(), vec![119]];
+        let (mut us, mut ms) = (Vec::new(), Vec::new());
+        for batch in [
+            ScanBatch::Cols { seg: &rle, lo: 10, len: 120 },
+            ScanBatch::Cols { seg: &packed, lo: 10, len: 120 },
+            ScanBatch::Cols { seg: &plain, lo: 10, len: 120 },
+            ScanBatch::Cols { seg: &rle, lo: 0, len: 150 },
+            ScanBatch::Rows(&rows[30..]),
+        ] {
+            for sel in &sels {
+                gather_u32(&batch, 1, sel, &mut us);
+                gather_money(&batch, 2, sel, &mut ms);
+                let want_u: Vec<u32> =
+                    sel.iter().map(|&i| batch.row_ref(i as usize).u32(1)).collect();
+                let want_m: Vec<i64> =
+                    sel.iter().map(|&i| batch.row_ref(i as usize).money(2).cents()).collect();
+                assert_eq!(us, want_u, "sel {sel:?}");
+                assert_eq!(ms, want_m, "sel {sel:?}");
+            }
+        }
     }
 }

@@ -49,7 +49,7 @@ pub mod spec;
 pub mod ssb;
 pub mod view;
 
-pub use batch::{filter_batch, BatchReader, KernelCache, ScanBatch};
+pub use batch::{filter_batch, KernelCache, ScanBatch};
 pub use exec::{execute, ExecContext, ExecStats, QueryOpts, QueryOutput, ScanMode};
 pub use hint::{date_range_hint, ScanPruner, ZoneCheck};
 pub use predicate::{ColPredicate, Predicate};

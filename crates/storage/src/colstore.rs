@@ -107,44 +107,32 @@ impl RleU32 {
         })
     }
 
-    /// A sequential-access cursor positioned at the first run.
-    pub fn cursor(&self) -> RleCursor {
-        RleCursor { run: 0 }
-    }
-}
-
-/// A cached run position for sequential access into an [`RleU32`].
-///
-/// `RleU32::get` pays a binary search per call, which is pathological for
-/// the executor's late-materialization loops that walk a selection vector
-/// in ascending order. The cursor remembers the last run: in-run and
-/// next-run accesses are O(1), forward skips advance linearly, and a
-/// backward jump falls back to the binary search. Any access pattern is
-/// therefore correct; monotone patterns are fast.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RleCursor {
-    run: usize,
-}
-
-impl RleCursor {
-    /// The value at logical index `idx`, updating the cached position.
-    #[inline]
-    pub fn value_at(&mut self, rle: &RleU32, idx: usize) -> u32 {
-        debug_assert!(idx < rle.len());
-        let runs = &rle.runs;
-        let run_start =
-            |i: usize| if i == 0 { 0 } else { runs[i - 1].1 as usize };
-        if self.run >= runs.len() || idx < run_start(self.run) {
-            // Backward jump (or stale cursor): reseek.
-            self.run = runs.partition_point(|&(_, end)| end as usize <= idx);
-        } else {
-            // Forward: advance run by run. Amortized O(1) over a monotone
-            // walk — each run is stepped past at most once.
-            while idx >= runs[self.run].1 as usize {
-                self.run += 1;
+    /// Appends logical rows `[lo, hi)` to `out`, fully decoded: the
+    /// run-at-a-time bulk read behind the executor's gathers.
+    pub fn decode_into(&self, lo: usize, hi: usize, out: &mut Vec<u32>) {
+        /// Runs up to this long are written as one fixed-width store,
+        /// which spares a mispredicted loop exit on every short run.
+        const SHORT: usize = 8;
+        debug_assert!(lo <= hi && hi <= self.len());
+        let base = out.len();
+        let n = hi - lo;
+        out.resize(base + n + SHORT, 0);
+        let dst = &mut out[base..];
+        let first = self.runs.partition_point(|&(_, end)| end as usize <= lo);
+        let mut pos = 0;
+        for &(v, end) in &self.runs[first..] {
+            let end = (end as usize).min(hi) - lo;
+            if end - pos <= SHORT {
+                dst[pos..pos + SHORT].copy_from_slice(&[v; SHORT]);
+            } else {
+                dst[pos..end].fill(v);
+            }
+            pos = end;
+            if pos == n {
+                break;
             }
         }
-        runs[self.run].0
+        out.truncate(base + n);
     }
 }
 
@@ -858,17 +846,16 @@ impl DimColumnCopy {
     /// A consistent snapshot at `ts`: the base segment and the overlay of
     /// visible updates (last write per row wins).
     pub fn snapshot(&self, ts: Ts) -> DimSnapshot {
-        let inner = self.inner.read();
-        let visible = inner.updates.partition_point(|(t, _, _)| *t <= ts);
-        let mut overlay = HashMap::new();
-        for (_, rid, row) in &inner.updates[..visible] {
-            overlay.insert(*rid, Arc::clone(row));
-        }
-        DimSnapshot {
-            ts,
-            segment: inner.segment.clone(),
-            overlay,
-        }
+        // Only the copy of the visible log runs under the read lock: every
+        // commit's `append_update` waits for it, so the overlay is hashed
+        // after the lock is released.
+        let (segment, updates) = {
+            let inner = self.inner.read();
+            let visible = inner.updates.partition_point(|(t, _, _)| *t <= ts);
+            (inner.segment.clone(), inner.updates[..visible].to_vec())
+        };
+        let overlay = updates.into_iter().map(|(_, rid, row)| (rid, row)).collect();
+        DimSnapshot { ts, segment, overlay }
     }
 }
 
@@ -1075,15 +1062,16 @@ mod tests {
     }
 
     #[test]
-    fn rle_cursor_matches_get_on_jumpy_walk() {
-        let data: Vec<u32> = (0..500u32).map(|i| i / 7).collect();
+    fn rle_decode_into_matches_get_on_every_window_shape() {
+        // Runs of 20 (longer than one short-run store) and of 1.
+        let data: Vec<u32> = (0..500u32).map(|i| if i < 250 { i / 20 } else { i }).collect();
         let rle = RleU32::encode(&data);
-        let mut cur = rle.cursor();
-        // Forward, backward, and repeated accesses all agree with get().
-        let walk =
-            [0usize, 1, 2, 100, 101, 50, 499, 0, 250, 250, 251, 13, 499, 498];
-        for &i in &walk {
-            assert_eq!(cur.value_at(&rle, i), rle.get(i), "index {i}");
+        for (lo, hi) in [(0, 500), (0, 0), (3, 4), (5, 9), (100, 101), (240, 260), (499, 500)] {
+            // Appends after what `out` already holds.
+            let mut out = vec![u32::MAX];
+            rle.decode_into(lo, hi, &mut out);
+            assert_eq!(out[0], u32::MAX);
+            assert_eq!(&out[1..], &data[lo..hi], "window [{lo}, {hi})");
         }
     }
 

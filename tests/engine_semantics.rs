@@ -51,11 +51,15 @@ fn every_engine_reports_commits_and_queries_by_name() {
         let (rid, row) = s.lookup_u32(NamedIndex::CustomerPk, 1).unwrap().unwrap();
         s.update(TableId::Customer, rid, row).unwrap();
         assert!(s.commit().unwrap().is_acked(), "{name}");
-        engine.query(&ssb::query(QueryId::Q1_1), &QueryOpts::default()).unwrap();
+        let out = engine.query(&ssb::query(QueryId::Q1_1), &QueryOpts::default()).unwrap();
 
         let m = engine.metrics();
         assert_eq!(m.counter(names::TXN_COMMITS), 1, "{name}");
         assert_eq!(m.counter(names::QUERIES), 1, "{name}");
+        // The probe's exact counters flow through unchanged.
+        assert!(out.stats.join_lookups >= out.matched_rows, "{name}");
+        assert_eq!(m.counter(names::PROBE_JOIN_LOOKUPS), out.stats.join_lookups, "{name}");
+        assert_eq!(m.counter(names::PROBE_ROWS_AGGREGATED), out.matched_rows, "{name}");
         let has_gauge = |g: &str| m.gauges().iter().any(|(n, _)| n == g);
         if name == "isolated" {
             assert!(has_gauge(names::REPL_BACKLOG), "{name}: replication backlog gauge");

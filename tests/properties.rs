@@ -189,22 +189,30 @@ fn packed_u32_roundtrips_at_every_width() {
 }
 
 #[test]
-fn rle_cursor_agrees_with_get_on_random_walks() {
-    property("rle_cursor_agrees_with_get", 64, |rng| {
+fn rle_decode_into_agrees_with_get_on_random_windows() {
+    property("rle_decode_into_agrees_with_get", 64, |rng| {
         let n = rng.gen_range(1usize..500);
-        let values: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..8)).collect();
+        // Short and long runs: the value changes with probability 1/run.
+        let run = rng.gen_range(1u32..20);
+        let mut v = 0u32;
+        let values: Vec<u32> = (0..n)
+            .map(|_| {
+                if rng.gen_range(0..run) == 0 {
+                    v = rng.gen_range(0u32..8);
+                }
+                v
+            })
+            .collect();
         let rle = RleU32::encode(&values);
-        // A jumpy access pattern (forward skips and backward re-seeks)
-        // must read the same values as random access.
-        let mut cursor = rle.cursor();
-        let mut idx = 0usize;
-        for _ in 0..200 {
-            assert_eq!(cursor.value_at(&rle, idx), rle.get(idx), "idx={idx}");
-            idx = if rng.gen_bool(0.7) {
-                (idx + rng.gen_range(1usize..16)) % n
-            } else {
-                rng.gen_range(0usize..n)
-            };
+        // Any window decodes to the values random access reads.
+        let mut out = Vec::new();
+        for _ in 0..20 {
+            let lo = rng.gen_range(0..=n);
+            let hi = rng.gen_range(lo..=n);
+            out.clear();
+            rle.decode_into(lo, hi, &mut out);
+            let want: Vec<u32> = (lo..hi).map(|i| rle.get(i)).collect();
+            assert_eq!(out, want, "window [{lo}, {hi})");
         }
     });
 }
