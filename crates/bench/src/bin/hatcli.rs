@@ -492,7 +492,10 @@ fn cmd_open_loop(args: &Args, engine: &str, sf: f64, harness: &Harness) -> i32 {
             .timeseries
             .iter()
             .filter(|s| s.phase == SamplePhase::Measure)
-            .map(|s| (s.tps, s.qps))
+            .map(|s| {
+                let rate = |name| s.metrics.counter(name) as f64 / s.tick_secs;
+                (rate(names::OPENLOOP_GOODPUT), rate(names::HARNESS_QUERIES))
+            })
             .collect();
         let svg = hattrick::svg::frontier_overlay_svg(
             &format!("{engine} — per-tick trajectory ({capacity})"),
@@ -577,7 +580,6 @@ fn run_config(engine: &str, sf: f64, repeats: u32, harness: &Harness) -> RunConf
         seed: cfg.seed,
         warmup_secs: cfg.warmup.as_secs_f64(),
         measure_secs: cfg.measure.as_secs_f64(),
-        sample_every_secs: cfg.sample_every.as_secs_f64(),
         repeats,
     }
 }
@@ -697,21 +699,19 @@ fn cmd_artifact(path: Option<&str>) -> i32 {
         artifact.points.len()
     );
     for m in &artifact.points {
-        let samples = m
-            .timeseries
-            .iter()
-            .filter(|s| s.phase == SamplePhase::Measure)
-            .count();
+        let samples: Vec<_> =
+            m.timeseries.iter().filter(|s| s.phase == SamplePhase::Measure).collect();
         println!(
             "  T:A={}:{} tps={:.1} qps={:.2} commits={} queries={} \
-             ({} measurement samples)",
+             ({} measurement samples of {} ms)",
             m.t_clients,
             m.a_clients,
             m.tps,
             m.qps,
             m.committed(),
             m.queries(),
-            samples
+            samples.len(),
+            samples.first().map_or(0.0, |s| s.tick_secs * 1e3)
         );
     }
     0
@@ -801,7 +801,7 @@ const USAGE: &str = "usage: hatcli <engines|point|frontier|compare|artifact> [fl
     watermarks); pinned runs the same dual-population\n\
     driver at a fixed --t-cores <n> split (the static\n\
     comparison arm); the per-tick allocation trace lands in\n\
-    the artifact (schema v6) as t_cores/a_cores columns and\n\
+    the artifact as sched.t_cores/sched.a_cores gauges and\n\
     --overlay-out <chart.svg> draws the per-tick\n\
     (goodput, qps) trajectory\n\
     any other flag, or a malformed value, is an error\n\

@@ -144,7 +144,6 @@ pub fn panel_artifact(panel: &str, harness: &Harness) -> RunArtifact {
         seed: cfg.seed,
         warmup_secs: cfg.warmup.as_secs_f64(),
         measure_secs: cfg.measure.as_secs_f64(),
-        sample_every_secs: cfg.sample_every.as_secs_f64(),
         repeats: 1,
     })
 }

@@ -136,6 +136,9 @@ pub mod names {
     pub const HARNESS_GAVE_UP: &str = "harness.gave_up";
     pub const HARNESS_QUERY_RETRIES: &str = "harness.query_retries";
     pub const HARNESS_BACKLOG_HWM: &str = "harness.backlog_hwm";
+    /// Mean freshness score (ns) of the queries that finished in one
+    /// tick; a time-series gauge, absent from ticks with no query.
+    pub const HARNESS_FRESHNESS_LAG_NS: &str = "harness.freshness_lag_ns";
     /// Per-label latency histograms are nested under these prefixes.
     pub const LATENCY_TXN_PREFIX: &str = "latency.txn.";
     pub const LATENCY_QUERY_PREFIX: &str = "latency.query.";

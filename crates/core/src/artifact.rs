@@ -2,7 +2,7 @@
 //!
 //! Every benchmark run can emit one versioned JSON document carrying the
 //! run configuration, each measured `(τ, α)` point's metric snapshots
-//! (window + cumulative), the fixed-cadence time series, and the raw
+//! (window + cumulative), the per-tick time series, and the raw
 //! freshness samples — everything `report`/`figures` consume, without
 //! reaching into harness internals. `hatcli --metrics-out <path>` writes
 //! it; [`RunArtifact::parse`] + [`RunArtifact::validate`] read it back
@@ -11,25 +11,18 @@
 //! Schema stability: `schema_version` gates the layout. Consumers must
 //! reject versions they do not understand rather than guess.
 
+use std::collections::BTreeSet;
+
 use hat_common::telemetry::json::Json;
 use hat_common::telemetry::MetricsSnapshot;
 
 use crate::harness::{PointMeasurement, SamplePhase, TimeSeriesSample};
 
-/// Version of the artifact layout produced by this build.
-/// v2 added `live_versions` to every time-series sample; v3 added the
-/// storage-health fields `health` and `shed`; v4 added the overload
-/// fields `shed_overload` and `offered` (splitting sheds by cause:
-/// `shed` is storage-degradation, `shed_overload` is traffic) plus the
-/// `openloop.*` counters and sojourn histogram inside point metrics; v5
-/// added the vectorized-scan counters (`scan.batches`,
-/// `scan.rows_pruned_zonemap`, `scan.rows_filtered_vectorized`) and the
-/// compression-ratio gauges (`colstore.bytes_encoded`,
-/// `colstore.bytes_decoded_equiv`) inside point metrics; v6 added the
-/// elastic-scheduler allocation trace (`t_cores`/`a_cores` on every
-/// time-series sample — zero on static runs) and the `sched.*`
-/// counters/gauges inside point metrics.
-pub const SCHEMA_VERSION: u64 = 6;
+/// Version of the artifact layout produced by this build. Every metric
+/// travels by name inside a snapshot (a time-series sample included), so
+/// a new metric needs no new version; the version moves only when the
+/// document's own structure does.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// The run configuration echoed into the artifact, so a result file is
 /// self-describing (which engine, scale, seed, and phase lengths
@@ -41,7 +34,6 @@ pub struct RunConfig {
     pub seed: u64,
     pub warmup_secs: f64,
     pub measure_secs: f64,
-    pub sample_every_secs: f64,
     pub repeats: u32,
 }
 
@@ -53,7 +45,6 @@ impl RunConfig {
             ("seed".into(), Json::from_u64(self.seed)),
             ("warmup_secs".into(), Json::from_f64(self.warmup_secs)),
             ("measure_secs".into(), Json::from_f64(self.measure_secs)),
-            ("sample_every_secs".into(), Json::from_f64(self.sample_every_secs)),
             ("repeats".into(), Json::from_u64(self.repeats as u64)),
         ])
     }
@@ -72,7 +63,6 @@ impl RunConfig {
             seed: j.get("seed").and_then(Json::as_u64).ok_or("config: missing seed")?,
             warmup_secs: f("warmup_secs")?,
             measure_secs: f("measure_secs")?,
-            sample_every_secs: f("sample_every_secs")?,
             repeats: f("repeats")? as u32,
         })
     }
@@ -83,27 +73,14 @@ fn sample_to_json(s: &TimeSeriesSample) -> Json {
         ("t_secs".into(), Json::from_f64(s.t_secs)),
         ("phase".into(), Json::Str(s.phase.label().to_string())),
         ("run".into(), Json::from_u64(s.run as u64)),
-        ("tps".into(), Json::from_f64(s.tps)),
-        ("qps".into(), Json::from_f64(s.qps)),
-        ("backlog".into(), Json::from_u64(s.backlog)),
-        ("delta_rows".into(), Json::from_u64(s.delta_rows)),
-        ("live_versions".into(), Json::from_u64(s.live_versions)),
-        ("freshness_lag".into(), Json::from_f64(s.freshness_lag)),
-        ("health".into(), Json::from_u64(s.health)),
-        ("shed".into(), Json::from_u64(s.shed)),
-        ("shed_overload".into(), Json::from_u64(s.shed_overload)),
-        ("offered".into(), Json::from_u64(s.offered)),
-        ("t_cores".into(), Json::from_u64(s.t_cores as u64)),
-        ("a_cores".into(), Json::from_u64(s.a_cores as u64)),
+        ("tick_secs".into(), Json::from_f64(s.tick_secs)),
+        ("metrics".into(), s.metrics.to_json()),
     ])
 }
 
 fn sample_from_json(j: &Json) -> Result<TimeSeriesSample, String> {
     let f = |k: &str| {
         j.get(k).and_then(Json::as_f64).ok_or_else(|| format!("sample: missing {k}"))
-    };
-    let u = |k: &str| {
-        j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("sample: missing {k}"))
     };
     let phase = j
         .get("phase")
@@ -113,19 +90,9 @@ fn sample_from_json(j: &Json) -> Result<TimeSeriesSample, String> {
     Ok(TimeSeriesSample {
         t_secs: f("t_secs")?,
         phase,
-        run: u("run")? as u32,
-        tps: f("tps")?,
-        qps: f("qps")?,
-        backlog: u("backlog")?,
-        delta_rows: u("delta_rows")?,
-        live_versions: u("live_versions")?,
-        freshness_lag: f("freshness_lag")?,
-        health: u("health")?,
-        shed: u("shed")?,
-        shed_overload: u("shed_overload")?,
-        offered: u("offered")?,
-        t_cores: u("t_cores")? as u32,
-        a_cores: u("a_cores")? as u32,
+        run: j.get("run").and_then(Json::as_u64).ok_or("sample: missing run")? as u32,
+        tick_secs: f("tick_secs")?,
+        metrics: MetricsSnapshot::from_json(j.get("metrics").ok_or("sample: missing metrics")?)?,
     })
 }
 
@@ -301,36 +268,43 @@ impl RunArtifact {
         out
     }
 
-    /// CSV of the full time series: one row per sample across all points.
+    /// CSV of the full time series: one row per sample across all points,
+    /// and one column per counter or gauge name any sample carries (empty
+    /// where a sample lacks it).
     pub fn timeseries_csv(&self) -> String {
-        let mut out = String::from(
-            "t_clients,a_clients,run,phase,t_secs,tps,qps,backlog,delta_rows,\
-             live_versions,freshness_lag,health,shed,shed_overload,offered,\
-             t_cores,a_cores\n",
-        );
-        for m in &self.points {
-            for s in &m.timeseries {
-                out.push_str(&format!(
-                    "{},{},{},{},{:.6},{:.2},{:.3},{},{},{},{:.6},{},{},{},{},{},{}\n",
-                    m.t_clients,
-                    m.a_clients,
-                    s.run,
-                    s.phase.label(),
-                    s.t_secs,
-                    s.tps,
-                    s.qps,
-                    s.backlog,
-                    s.delta_rows,
-                    s.live_versions,
-                    s.freshness_lag,
-                    s.health,
-                    s.shed,
-                    s.shed_overload,
-                    s.offered,
-                    s.t_cores,
-                    s.a_cores
-                ));
+        let samples =
+            || self.points.iter().flat_map(|m| m.timeseries.iter().map(move |s| (m, s)));
+        let columns: BTreeSet<&str> = samples()
+            .flat_map(|(_, s)| s.metrics.counters().iter().chain(s.metrics.gauges()))
+            .map(|(name, _)| name.as_str())
+            .collect();
+        let mut out = String::from("t_clients,a_clients,run,phase,t_secs,tick_secs");
+        for name in &columns {
+            out.push(',');
+            out.push_str(name);
+        }
+        out.push('\n');
+        for (m, s) in samples() {
+            out.push_str(&format!(
+                "{},{},{},{},{:.6},{:.6}",
+                m.t_clients,
+                m.a_clients,
+                s.run,
+                s.phase.label(),
+                s.t_secs,
+                s.tick_secs
+            ));
+            for name in &columns {
+                out.push(',');
+                let find = |entries: &[(String, u64)]| {
+                    let at = entries.binary_search_by(|(n, _)| n.as_str().cmp(name));
+                    at.ok().map(|i| entries[i].1)
+                };
+                if let Some(v) = find(s.metrics.counters()).or_else(|| find(s.metrics.gauges())) {
+                    out.push_str(&v.to_string());
+                }
             }
+            out.push('\n');
         }
         out
     }
@@ -348,7 +322,6 @@ mod tests {
             seed: 99,
             warmup_secs: 0.03,
             measure_secs: 0.12,
-            sample_every_secs: 0.005,
             repeats: 1,
         }
     }
@@ -366,42 +339,15 @@ mod tests {
             HistogramSnapshot::from_values(&[1_000, 2_000, 40_000]),
         );
         m.metrics_end.set_counter(names::WAL_FSYNCS, 12);
-        m.timeseries = vec![
-            TimeSeriesSample {
-                t_secs: 0.01,
-                phase: SamplePhase::Warmup,
-                run: 0,
-                tps: 90.0,
-                qps: 5.0,
-                backlog: 1,
-                delta_rows: 0,
-                live_versions: 100,
-                freshness_lag: 0.0,
-                health: 0,
-                shed: 0,
-                shed_overload: 0,
-                offered: 95,
-                t_cores: 0,
-                a_cores: 0,
-            },
-            TimeSeriesSample {
-                t_secs: 0.05,
-                phase: SamplePhase::Measure,
-                run: 0,
-                tps: 120.0,
-                qps: 8.0,
-                backlog: 3,
-                delta_rows: 2,
-                live_versions: 104,
-                freshness_lag: 0.002,
-                health: 1,
-                shed: 2,
-                shed_overload: 4,
-                offered: 130,
-                t_cores: 3,
-                a_cores: 1,
-            },
-        ];
+        let sample = |t_secs, phase, committed, backlog| {
+            let mut metrics = MetricsSnapshot::new();
+            metrics.set_counter(names::HARNESS_COMMITTED, committed);
+            metrics.set_gauge(names::REPL_BACKLOG, backlog);
+            TimeSeriesSample { t_secs, phase, run: 0, tick_secs: 0.005, metrics }
+        };
+        let mut measured = sample(0.05, SamplePhase::Measure, 6, 3);
+        measured.metrics.set_counter(names::OPENLOOP_SHED_STALE, 4);
+        m.timeseries = vec![sample(0.01, SamplePhase::Warmup, 5, 1), measured];
         m
     }
 
@@ -443,7 +389,8 @@ mod tests {
     fn unsupported_schema_version_is_rejected() {
         let mut art = RunArtifact::new(config());
         art.push_point(synthetic_point());
-        let text = art.dump().replace("\"schema_version\": 6", "\"schema_version\": 999");
+        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
+        let text = art.dump().replace(&current, "\"schema_version\": 999");
         let err = RunArtifact::parse(&text).unwrap_err();
         assert!(err.contains("unsupported"), "{err}");
     }
@@ -456,8 +403,16 @@ mod tests {
         assert!(pcsv.starts_with("t_clients,"));
         assert!(pcsv.contains("2,1,123.50,7.250,17,"));
         let tcsv = art.timeseries_csv();
-        assert_eq!(tcsv.lines().count(), 3, "header + two samples");
-        assert!(tcsv.contains("measure"));
-        assert!(tcsv.contains("warmup"));
+        let lines: Vec<&str> = tcsv.lines().collect();
+        assert_eq!(lines.len(), 3, "header + two samples");
+        // One column per name any sample carries, sorted; a sample
+        // without the name leaves its cell empty.
+        assert_eq!(
+            lines[0],
+            "t_clients,a_clients,run,phase,t_secs,tick_secs,\
+             harness.committed,openloop.shed_stale,repl.backlog"
+        );
+        assert_eq!(lines[1], "2,1,0,warmup,0.010000,0.005000,5,,1");
+        assert_eq!(lines[2], "2,1,0,measure,0.050000,0.005000,6,4,3");
     }
 }

@@ -14,7 +14,7 @@
 //! [`Harness::run_open_loop_sched`] are thin entry points to it. It has one
 //! transactional worker loop with one outcome classification, one
 //! analytical client, and one tick loop. At every tick boundary the tick
-//! loop samples [`HtapEngine::metrics`] into a [`TimeSeriesSample`], moves
+//! loop diffs [`HtapEngine::metrics`] into a [`TimeSeriesSample`], moves
 //! the core split when the [`SchedPolicy`] holds a budget, and enqueues the
 //! tick's arrivals. Every outcome lands in a per-tick cell; warm-up ticks
 //! are discarded, and [`PointMeasurement`] and [`OpenLoopMeasurement`] are
@@ -209,10 +209,11 @@ pub struct BenchmarkConfig {
     /// [`HtapEngine::query`] — notably the intra-query morsel
     /// parallelism (`hatcli --a-threads`).
     pub query_opts: QueryOpts,
-    /// Tick length of a point run: the cadence of the engine-metrics
-    /// samples (the time series in every [`PointMeasurement`]) and of the
-    /// outcome cells. Clamped to `measure / 8` (and at least 100 µs), so
-    /// the measurement phase always yields at least eight samples.
+    /// Requested tick length of a point run: the cadence of the time
+    /// series in every [`PointMeasurement`] and of the outcome cells.
+    /// Clamped to `measure / 8` (and at least 100 µs), so the measurement
+    /// phase always yields at least eight samples; each sample records the
+    /// length actually used.
     pub sample_every: Duration,
 }
 
@@ -314,63 +315,26 @@ impl SamplePhase {
     }
 }
 
-/// One fixed-cadence sample of engine state during a run. The paper's
-/// §6.2 figures plot throughput and freshness *over time*; this is the
-/// raw series behind such plots, taken through warmup and measurement.
+/// One tick's record: the raw series behind the paper's §6.2
+/// throughput- and freshness-over-time plots, through warmup and
+/// measurement. `metrics` holds the tick under the window's names
+/// (DESIGN.md §6c): engine counters as deltas across the tick, engine
+/// gauges as read at its end, the tick's `harness.*` outcome counters
+/// (plus `openloop.*` on schedule runs), and the `sched.*` split in force
+/// when the policy holds a core budget. Histograms stay in the window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeriesSample {
-    /// Seconds since this run's clients started (warmup included).
+    /// Seconds since this run's clients started (warmup included), at
+    /// the end of the tick.
     pub t_secs: f64,
     pub phase: SamplePhase,
     /// Which repetition of the point the sample came from (0-based; set
     /// by [`PointMeasurement::average`]).
     pub run: u32,
-    /// Acknowledged in-deadline commits per second in the tick (a
-    /// closed-loop run has no deadline, so every acknowledged commit).
-    /// In-doubt commits are excluded.
-    pub tps: f64,
-    /// Analytical queries finished per second in the tick.
-    pub qps: f64,
-    /// Replication backlog gauge at sample time (records shipped but not
-    /// yet applied).
-    pub backlog: u64,
-    /// Columnar delta rows awaiting merge at sample time.
-    pub delta_rows: u64,
-    /// MVCC versions alive across the engine's row stores at sample
-    /// time. A healthy vacuum makes this plateau under a write-heavy
-    /// mix; without it the series grows without bound.
-    pub live_versions: u64,
-    /// Mean freshness score (seconds) of the queries that finished in
-    /// this tick; `0.0` when none finished.
-    pub freshness_lag: f64,
-    /// Storage-health gauge at sample time: 0 healthy, 1 WAL stopped. A
-    /// chaos run shows this step up once, at the first failed write or
-    /// fsync, and stay up for the rest of the run.
-    pub health: u64,
-    /// Transactional requests shed for *storage* reasons during the tick
-    /// (`HatError::Degraded`): a WAL stopped by a storage fault or a full
-    /// group-commit backlog.
-    pub shed: u64,
-    /// Transactional requests shed for *overload* reasons during the
-    /// tick: bounded-queue overflow or queue sojourn over the deadline
-    /// budget. Disjoint from `shed` by construction, so "disk unhappy"
-    /// and "traffic too high" chart separately.
-    pub shed_overload: u64,
-    /// Transactional requests offered during the tick: the arrivals the
-    /// schedule generated (open-loop runs), or the new requests the
-    /// clients issued (closed-loop runs, where it tracks the completion
-    /// rate). Retries are not counted. In an open-loop run it is the
-    /// independent variable and may exceed the completion rate
-    /// arbitrarily.
-    pub offered: u64,
-    /// Transactional cores of the split in force during the tick when
-    /// the run's [`SchedPolicy`] holds a core budget, elastic or pinned
-    /// (the artifact's per-tick allocation trace, schema v6). Zero
-    /// otherwise: the split is whatever the client counts say.
-    pub t_cores: u32,
-    /// Analytical cores of the split in force during the tick; zero when
-    /// the policy holds no budget.
-    pub a_cores: u32,
+    /// Length of the tick the driver ran, seconds: what turns the
+    /// record's counts into rates.
+    pub tick_secs: f64,
+    pub metrics: MetricsSnapshot,
 }
 
 /// The measured outcome of one `(τ, α)` point.
@@ -397,7 +361,7 @@ pub struct PointMeasurement {
     /// Cumulative engine snapshot taken after the run — for counters
     /// meaningful since engine start (WAL recovery, fsyncs, scans).
     pub metrics_end: MetricsSnapshot,
-    /// Fixed-cadence engine samples through warmup and measurement.
+    /// One record per tick through warmup and measurement.
     pub timeseries: Vec<TimeSeriesSample>,
     /// Freshness scores (seconds) of the queries finished during
     /// measurement.
@@ -774,8 +738,8 @@ impl Harness {
     /// eligible static arm for elastic-vs-static comparisons.
     ///
     /// The per-tick split comes back in [`OpenLoopMeasurement::decisions`]
-    /// and as the `t_cores`/`a_cores` columns of the time series (artifact
-    /// schema v6).
+    /// and as the `sched.t_cores`/`sched.a_cores` gauges of the time
+    /// series.
     pub fn run_open_loop_sched(
         &self,
         ol: &OpenLoopConfig,
@@ -949,6 +913,58 @@ impl TickCells {
             aborts: load(&self.aborts),
         }
     }
+
+    /// Writes the tick's outcome counters into its record under the
+    /// window's names; `openloop.*` only for a schedule run.
+    fn record(&self, m: &mut MetricsSnapshot, schedule: bool) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (queries, in_doubt) = (load(&self.queries), load(&self.in_doubt));
+        for (name, v) in [
+            (names::HARNESS_COMMITTED, load(&self.completed) - in_doubt),
+            (names::HARNESS_QUERIES, queries),
+            (names::HARNESS_ABORTS, load(&self.aborts) + load(&self.shed_degraded)),
+            (names::HARNESS_RETRIES, load(&self.retries)),
+            (names::HARNESS_TIMEOUTS, in_doubt),
+            (names::HARNESS_GAVE_UP, load(&self.gave_up)),
+            (names::HARNESS_QUERY_RETRIES, load(&self.query_retries)),
+        ] {
+            m.set_counter(name, v);
+        }
+        if let Some(lag) = load(&self.fresh_ns).checked_div(queries) {
+            m.set_gauge(names::HARNESS_FRESHNESS_LAG_NS, lag);
+        }
+        if !schedule {
+            return;
+        }
+        for (name, cell) in [
+            (names::OPENLOOP_OFFERED, &self.offered),
+            (names::OPENLOOP_STARTED, &self.started),
+            (names::OPENLOOP_COMPLETED, &self.completed),
+            (names::OPENLOOP_GOODPUT, &self.goodput),
+            (names::OPENLOOP_DEADLINE_MISSED, &self.deadline_missed),
+            (names::OPENLOOP_SHED_QUEUE, &self.shed_queue),
+            (names::OPENLOOP_SHED_STALE, &self.shed_stale),
+            (names::OPENLOOP_SHED_DEGRADED, &self.shed_degraded),
+            (names::OPENLOOP_RETRIES, &self.retries),
+            (names::OPENLOOP_RETRY_DENIED, &self.retry_denied),
+            (names::OPENLOOP_GAVE_UP, &self.gave_up),
+        ] {
+            m.set_counter(name, load(cell));
+        }
+    }
+}
+
+/// The engine's part of a tick's record: counters as deltas since
+/// `prev`, gauges as read. Histograms stay in the window snapshot.
+fn engine_tick(snap: &MetricsSnapshot, prev: &MetricsSnapshot) -> MetricsSnapshot {
+    let mut tick = MetricsSnapshot::new();
+    for (name, v) in snap.counters() {
+        tick.set_counter(name, v.saturating_sub(prev.counter(name)));
+    }
+    for (name, v) in snap.gauges() {
+        tick.set_gauge(name, *v);
+    }
+    tick
 }
 
 fn bump(cell: &AtomicU64) {
@@ -1281,7 +1297,7 @@ impl Run<'_> {
     }
 
     /// The tick loop, on the driver's own thread. At each boundary: sleep
-    /// to it, sample the engine into the closed tick's
+    /// to it, record the engine's part of the closed tick's
     /// [`TimeSeriesSample`], step the controller or hold the pinned split,
     /// and enqueue the new tick's arrivals. Returns the series and the
     /// engine snapshot at the start of measurement.
@@ -1290,7 +1306,7 @@ impl Run<'_> {
         let clock = BenchClock::global();
         let mut gen_rng = HatRng::derive(h.config.seed, (self.point_idx << 16) | 0xC000);
         let mut series = Vec::with_capacity(self.ticks);
-        let mut measure_begin = MetricsSnapshot::new();
+        let (mut prev, mut measure_begin) = (MetricsSnapshot::new(), MetricsSnapshot::new());
         for k in 0..=self.ticks {
             let boundary = self.t0 + self.tick_ns * k as Nanos;
             let mut now = clock.now();
@@ -1300,30 +1316,26 @@ impl Run<'_> {
             }
             let snap = h.engine.metrics();
             if k > 0 {
-                // The split in force during the closed tick (recorded
-                // before the controller reacts to it).
-                let (t_cores, a_cores) = cores.as_ref().map_or((0, 0), |c| c.budget.split());
+                let mut metrics = engine_tick(&snap, &prev);
+                if let Some(c) = &cores {
+                    // The split in force during the closed tick (recorded
+                    // before the controller reacts to it).
+                    let (t_cores, a_cores) = c.budget.split();
+                    metrics.set_gauge(names::SCHED_T_CORES, t_cores.into());
+                    metrics.set_gauge(names::SCHED_A_CORES, a_cores.into());
+                }
                 series.push(TimeSeriesSample {
                     t_secs: (now - self.t0) as f64 / 1e9,
                     phase: if k <= self.warm { SamplePhase::Warmup } else { SamplePhase::Measure },
                     run: 0,
-                    tps: 0.0,
-                    qps: 0.0,
-                    backlog: snap.gauge(names::REPL_BACKLOG),
-                    delta_rows: snap.gauge(names::DELTA_ROWS),
-                    live_versions: snap.gauge(names::LIVE_VERSIONS),
-                    freshness_lag: 0.0,
-                    health: snap.gauge(names::HEALTH_STATE),
-                    shed: 0,
-                    shed_overload: 0,
-                    offered: 0,
-                    t_cores,
-                    a_cores,
+                    tick_secs: self.tick_ns as f64 / 1e9,
+                    metrics,
                 });
             }
             if k == self.warm {
-                measure_begin = snap;
+                measure_begin = snap.clone();
             }
+            prev = snap;
             if k == self.ticks {
                 break;
             }
@@ -1372,7 +1384,9 @@ impl Run<'_> {
         (series, measure_begin)
     }
 
-    /// Derives both measurements from the cells of the measured ticks.
+    /// Derives both measurements from the cells of the measured ticks:
+    /// each cell completes its tick's record, and the window's harness
+    /// counters are the sum of the measured records.
     fn measurement(
         self,
         mut series: Vec<TimeSeriesSample>,
@@ -1382,61 +1396,35 @@ impl Run<'_> {
         t_clients: u32,
         a_clients: u32,
     ) -> OpenLoopMeasurement {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let tick_secs = self.tick_ns as f64 / 1e9;
+        let schedule = matches!(self.source, Source::Schedule { .. });
         for (s, c) in series.iter_mut().zip(&self.cells) {
-            let (t, queries) = (c.outcome(0), load(&c.queries));
-            s.tps = t.goodput as f64 / tick_secs;
-            s.qps = queries as f64 / tick_secs;
-            if queries > 0 {
-                s.freshness_lag = load(&c.fresh_ns) as f64 / 1e9 / queries as f64;
-            }
-            s.shed = t.shed_degraded;
-            s.shed_overload = t.shed_overload();
-            s.offered = t.offered;
+            c.record(&mut s.metrics, schedule);
         }
-        let measured = &self.cells[self.warm..self.ticks];
-        let ticks: Vec<OpenLoopTick> =
-            measured.iter().enumerate().map(|(k, c)| c.outcome(k as u32)).collect();
-        let sum = |f: fn(&OpenLoopTick) -> u64| ticks.iter().map(f).sum::<u64>();
-        let cell_sum =
-            |f: fn(&TickCells) -> &AtomicU64| measured.iter().map(|c| load(f(c))).sum::<u64>();
-        let (goodput, queries, in_doubt) =
-            (sum(|t| t.goodput), cell_sum(|c| &c.queries), cell_sum(|c| &c.in_doubt));
-        let elapsed = ticks.len() as f64 * tick_secs;
+        let totals = series[self.warm..]
+            .iter()
+            .fold(MetricsSnapshot::new(), |acc, s| acc.merge(&s.metrics));
+        let ticks: Vec<OpenLoopTick> = self.cells[self.warm..self.ticks]
+            .iter()
+            .enumerate()
+            .map(|(k, c)| c.outcome(k as u32))
+            .collect();
+        let goodput: u64 = ticks.iter().map(|t| t.goodput).sum();
+        let queries = totals.counter(names::HARNESS_QUERIES);
+        let elapsed = ticks.len() as f64 * self.tick_ns as f64 / 1e9;
 
         // The window diff captures what the engine did during measurement;
         // the cumulative snapshot keeps the since-start counters (WAL
         // recovery, fsyncs, scan totals).
         let metrics_end = self.h.engine.metrics();
         let mut metrics = metrics_end.diff(&measure_begin);
-        metrics.set_counter(names::HARNESS_COMMITTED, sum(|t| t.completed) - in_doubt);
-        metrics.set_counter(names::HARNESS_QUERIES, queries);
-        metrics.set_counter(
-            names::HARNESS_ABORTS,
-            sum(|t| t.aborts + t.shed_degraded),
-        );
-        metrics.set_counter(names::HARNESS_RETRIES, sum(|t| t.retries));
-        metrics.set_counter(names::HARNESS_TIMEOUTS, in_doubt);
-        metrics.set_counter(names::HARNESS_GAVE_UP, sum(|t| t.gave_up));
-        metrics.set_counter(names::HARNESS_QUERY_RETRIES, cell_sum(|c| &c.query_retries));
-        metrics.set_gauge(
-            names::HARNESS_BACKLOG_HWM,
-            series.iter().map(|s| s.backlog).max().unwrap_or(0),
-        );
+        for (name, v) in totals.counters() {
+            if name.starts_with("harness.") || name.starts_with("openloop.") {
+                metrics.set_counter(name, *v);
+            }
+        }
+        metrics.set_gauge(names::HARNESS_BACKLOG_HWM, totals.gauge(names::REPL_BACKLOG));
         let sojourn = self.sojourn.snapshot();
-        if let Source::Schedule { .. } = &self.source {
-            metrics.set_counter(names::OPENLOOP_OFFERED, sum(|t| t.offered));
-            metrics.set_counter(names::OPENLOOP_STARTED, cell_sum(|c| &c.started));
-            metrics.set_counter(names::OPENLOOP_COMPLETED, sum(|t| t.completed));
-            metrics.set_counter(names::OPENLOOP_GOODPUT, goodput);
-            metrics.set_counter(names::OPENLOOP_DEADLINE_MISSED, sum(|t| t.deadline_missed));
-            metrics.set_counter(names::OPENLOOP_SHED_QUEUE, sum(|t| t.shed_queue));
-            metrics.set_counter(names::OPENLOOP_SHED_STALE, sum(|t| t.shed_stale));
-            metrics.set_counter(names::OPENLOOP_SHED_DEGRADED, sum(|t| t.shed_degraded));
-            metrics.set_counter(names::OPENLOOP_RETRIES, sum(|t| t.retries));
-            metrics.set_counter(names::OPENLOOP_RETRY_DENIED, sum(|t| t.retry_denied));
-            metrics.set_counter(names::OPENLOOP_GAVE_UP, sum(|t| t.gave_up));
+        if schedule {
             metrics.set_histogram(names::OPENLOOP_SOJOURN, sojourn.clone());
         }
         let decisions = match cores {
@@ -1596,7 +1584,7 @@ mod tests {
         // over the run, so some interval must show commits.
         let ordered = m.timeseries.windows(2).all(|w| w[0].t_secs <= w[1].t_secs);
         assert!(ordered, "time series is ordered");
-        assert!(m.timeseries.iter().any(|s| s.tps > 0.0));
+        assert!(m.timeseries.iter().any(|s| s.metrics.counter(names::HARNESS_COMMITTED) > 0));
     }
 
     #[test]

@@ -202,8 +202,8 @@ impl SchedReason {
     }
 }
 
-/// One per-tick allocation decision — the unit of the artifact's
-/// allocation trace (schema v6).
+/// One per-tick allocation decision — the unit of the run's allocation
+/// trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedDecision {
     /// The tick this split takes effect in.

@@ -13,10 +13,14 @@ use hattrick_repro::bench::frontier::{
     build_grid, classify, Frontier, SaturationConfig, ShapeClass,
 };
 use hattrick_repro::bench::gen::{generate, ScaleFactor};
-use hattrick_repro::bench::harness::{BenchmarkConfig, Harness};
+use hattrick_repro::bench::harness::{
+    BenchmarkConfig, Harness, PointMeasurement, SamplePhase, TimeSeriesSample,
+};
+use hattrick_repro::bench::openloop::OpenLoopConfig;
 use hattrick_repro::bench::report;
 use hattrick_repro::bench::workload::TxnMix;
-use hattrick_repro::engine::{HtapEngine, IsoConfig, IsoEngine, ReplicationMode};
+use hattrick_repro::common::telemetry::{names, MetricsSnapshot};
+use hattrick_repro::engine::{EngineConfig, HtapEngine, IsoConfig, IsoEngine, ReplicationMode};
 
 #[test]
 fn latency_stats_cover_the_full_mix() {
@@ -131,23 +135,8 @@ fn run_artifact_roundtrips_a_real_measurement() {
     let (_, engine) = common::all_engines().remove(0);
     let harness = common::fast_harness(engine, &data);
     let m = harness.run_point(2, 1).unwrap();
-    let cfg = harness.config();
-    let mut artifact = RunArtifact::new(RunConfig {
-        engine: "test".into(),
-        scale_factor: data.profile.scale,
-        seed: cfg.seed,
-        warmup_secs: cfg.warmup.as_secs_f64(),
-        measure_secs: cfg.measure.as_secs_f64(),
-        sample_every_secs: cfg.sample_every.as_secs_f64(),
-        repeats: 1,
-    });
-    artifact.push_point(m);
-    artifact.validate().expect("fresh measurement validates");
-    let text = artifact.dump();
-    let back = RunArtifact::parse(&text).expect("parses back");
-    back.validate().expect("round-tripped artifact validates");
-    assert_eq!(back.schema_version, SCHEMA_VERSION);
-    let (a, b) = (&artifact.points[0], &back.points[0]);
+    let back = text_round_trip(&harness, m.clone());
+    let (a, b) = (&m, &back);
     assert_eq!(a.committed(), b.committed());
     assert_eq!(a.queries(), b.queries());
     assert_eq!(a.metrics, b.metrics, "window snapshot round-trips exactly");
@@ -165,7 +154,6 @@ fn measurement_phase_has_dense_time_series() {
     let (_, engine) = common::all_engines().remove(0);
     let harness = common::fast_harness(engine, &data);
     let m = harness.run_point(2, 1).unwrap();
-    use hattrick_repro::bench::harness::SamplePhase;
     let measure = m
         .timeseries
         .iter()
@@ -196,4 +184,150 @@ fn summary_report_is_complete() {
     assert!(grid_csv.contains("fixed-A"));
     let plot = report::frontier_ascii("test-engine", &frontier);
     assert!(plot.contains("frontier"));
+}
+
+/// Writes `m` into a one-point artifact, parses the text back, and
+/// returns the parsed point.
+fn text_round_trip(harness: &Harness, m: PointMeasurement) -> PointMeasurement {
+    let cfg = harness.config();
+    let mut artifact = RunArtifact::new(RunConfig {
+        engine: harness.engine().name(),
+        scale_factor: harness.profile().scale,
+        seed: cfg.seed,
+        warmup_secs: cfg.warmup.as_secs_f64(),
+        measure_secs: cfg.measure.as_secs_f64(),
+        repeats: 1,
+    });
+    artifact.push_point(m);
+    artifact.validate().expect("fresh measurement validates");
+    let back = RunArtifact::parse(&artifact.dump()).expect("parses back");
+    back.validate().expect("round-tripped artifact validates");
+    assert_eq!(back.schema_version, SCHEMA_VERSION);
+    back.points.into_iter().next().expect("one point")
+}
+
+fn measured(m: &PointMeasurement) -> impl Iterator<Item = &TimeSeriesSample> {
+    m.timeseries.iter().filter(|s| s.phase == SamplePhase::Measure)
+}
+
+#[test]
+fn every_engine_metric_reaches_the_series_and_survives_the_artifact() {
+    // No harness or artifact code names an engine metric: whatever the
+    // engine's snapshot carries, each tick's record carries by name.
+    let data = common::small_data();
+    let engines =
+        common::all_engines_with_vacuum(Some(EngineConfig::DEFAULT_VACUUM_INTERVAL));
+    assert_eq!(engines.len(), 5, "all five engine families");
+    for (family, engine) in engines {
+        let harness = common::fast_harness(engine, &data);
+        let m = harness.run_point(2, 1).unwrap();
+        let engine_names: Vec<String> = {
+            let snap = harness.engine().metrics();
+            snap.counters().iter().chain(snap.gauges()).map(|(n, _)| n.clone()).collect()
+        };
+        assert!(!engine_names.is_empty(), "{family}: engine reports no metrics");
+        let has = |s: &TimeSeriesSample, name: &str| {
+            let named = |entries: &[(String, u64)]| entries.iter().any(|(n, _)| n == name);
+            named(s.metrics.counters()) || named(s.metrics.gauges())
+        };
+        for name in &engine_names {
+            assert!(
+                measured(&m).any(|s| has(s, name)),
+                "{family}: engine metric {name} missing from the measured samples"
+            );
+        }
+        let back = text_round_trip(&harness, m.clone());
+        assert_eq!(back.timeseries, m.timeseries, "{family}: series round-trips exactly");
+        for name in &engine_names {
+            assert!(measured(&back).any(|s| has(s, name)), "{family}: {name} lost in the artifact");
+        }
+    }
+}
+
+/// Checks that the window's harness counters are the sums of the
+/// measured records and its backlog high-water mark their maximum.
+fn assert_window_is_the_sum_of_ticks(m: &PointMeasurement) {
+    let harness_counters: Vec<&(String, u64)> = m
+        .metrics
+        .counters()
+        .iter()
+        .filter(|(n, _)| n.starts_with("harness.") || n.starts_with("openloop."))
+        .collect();
+    assert!(harness_counters.len() >= 7, "{harness_counters:?}");
+    for (name, window) in harness_counters {
+        let sum: u64 = measured(m).map(|s| s.metrics.counter(name)).sum();
+        assert_eq!(*window, sum, "{name}: window vs sum of ticks");
+    }
+    let hwm = measured(m).map(|s| s.metrics.gauge(names::REPL_BACKLOG)).max().unwrap();
+    assert_eq!(m.backlog_hwm(), hwm);
+    let totals = measured(m).fold(MetricsSnapshot::new(), |acc, s| acc.merge(&s.metrics));
+    assert_eq!(totals.counter(names::HARNESS_COMMITTED), m.committed());
+    assert_eq!(totals.counter(names::HARNESS_QUERIES), m.queries());
+}
+
+#[test]
+fn window_totals_are_the_sum_of_the_tick_records() {
+    let data = common::small_data();
+    let (_, engine) = common::all_engines().remove(0);
+    let harness = common::fast_harness(engine, &data);
+
+    let closed = harness.run_point(2, 1).unwrap();
+    assert!(closed.committed() > 0 && closed.queries() > 0);
+    assert_window_is_the_sum_of_ticks(&closed);
+    assert!(
+        closed.metrics.counters().iter().all(|(n, _)| !n.starts_with("openloop.")),
+        "openloop.* appears only on schedule runs"
+    );
+    assert!(report::overload_line(&closed.metrics).is_none());
+
+    let ol = OpenLoopConfig { arrival_rate: 1000.0, ticks: 40, ..OpenLoopConfig::default() };
+    let open = harness.run_open_loop(&ol).unwrap();
+    assert!(open.offered() > 0 && open.goodput() > 0);
+    assert_window_is_the_sum_of_ticks(&open.point);
+    // The per-tick outcome series and the records agree tick for tick.
+    assert_eq!(open.ticks.len(), measured(&open.point).count());
+    for (t, s) in open.ticks.iter().zip(measured(&open.point)) {
+        assert_eq!(t.offered, s.metrics.counter(names::OPENLOOP_OFFERED));
+        assert_eq!(t.goodput, s.metrics.counter(names::OPENLOOP_GOODPUT));
+        assert_eq!(t.shed_overload(), {
+            s.metrics.counter(names::OPENLOOP_SHED_QUEUE)
+                + s.metrics.counter(names::OPENLOOP_SHED_STALE)
+        });
+    }
+    assert_eq!(open.point.metrics.counter(names::OPENLOOP_OFFERED), open.offered());
+    assert!(report::overload_line(&open.point.metrics).is_some());
+}
+
+#[test]
+fn each_sample_records_the_tick_the_driver_used() {
+    let data = common::small_data();
+    let (_, engine) = common::all_engines().remove(0);
+    data.load_into(engine.as_ref()).unwrap();
+    // A closed run clamps its 5 ms default tick to measure / 8.
+    let harness = Harness::new(
+        engine,
+        data.profile.clone(),
+        BenchmarkConfig {
+            warmup: Duration::from_millis(10),
+            measure: Duration::from_millis(16),
+            seed: 3,
+            ..BenchmarkConfig::default()
+        },
+    );
+    let closed = harness.run_point(1, 0).unwrap();
+    assert!(closed.timeseries.iter().all(|s| s.tick_secs == 0.002), "closed tick is 2 ms");
+    assert_eq!(measured(&closed).count(), 8);
+    // An open-loop run ticks at its own configured length.
+    let ol = OpenLoopConfig {
+        arrival_rate: 500.0,
+        ticks: 10,
+        tick: Duration::from_millis(10),
+        ..OpenLoopConfig::default()
+    };
+    let open = harness.run_open_loop(&ol).unwrap();
+    assert_eq!(open.point.timeseries.len(), 10);
+    assert!(open.point.timeseries.iter().all(|s| s.tick_secs == 0.010), "open tick is 10 ms");
+    // And the tick length survives the artifact.
+    let back = text_round_trip(&harness, open.point.clone());
+    assert!(back.timeseries.iter().all(|s| s.tick_secs == 0.010));
 }

@@ -112,6 +112,49 @@ pub fn fast_engine_config() -> EngineConfig {
     EngineConfig::default().without_durability()
 }
 
+/// Open-loop arrival rate at 50% of a `workers`-strong pool's measured
+/// capacity when each request also sleeps `pad`. Measured by a short
+/// single-client closed loop on a fresh shared engine; call it right
+/// before the open-loop run it sizes (inside each [`with_noise_retries`]
+/// attempt), so a host that slowed down since an earlier measurement
+/// does not turn the "50%" base load into overload.
+pub fn base_rate(workers: u32, pad: Duration) -> f64 {
+    let data = small_data();
+    let engine = ShdEngine::new(EngineConfig::default());
+    data.load_into(&engine).unwrap();
+    let h = Harness::new(
+        Arc::new(engine),
+        data.profile.clone(),
+        BenchmarkConfig {
+            seed: 0xCA11,
+            warmup: Duration::from_millis(50),
+            measure: Duration::from_millis(250),
+            ..BenchmarkConfig::default()
+        },
+    );
+    let tps = h.run_point(1, 0).unwrap().tps.max(50.0);
+    let per_req = 1.0 / tps + pad.as_secs_f64();
+    0.5 * f64::from(workers) / per_req
+}
+
+/// Runs a timing-sensitive experiment up to three times. These tests
+/// assert capacity *ratios* over wall-clock windows, and a CPU-steal
+/// spike on a shared runner can smear any single window; a real
+/// regression fails all three attempts.
+pub fn with_noise_retries(f: impl Fn()) {
+    for attempt in 0..3 {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&f)) {
+            Ok(()) => return,
+            Err(payload) => {
+                if attempt == 2 {
+                    std::panic::resume_unwind(payload);
+                }
+                eprintln!("timing-sensitive attempt {attempt} failed; retrying");
+            }
+        }
+    }
+}
+
 /// Loads `data` into `engine` and wraps it in a fast harness.
 pub fn fast_harness(engine: Arc<dyn HtapEngine>, data: &GeneratedData) -> Harness {
     data.load_into(engine.as_ref()).expect("load");

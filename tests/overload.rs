@@ -24,18 +24,19 @@
 //!    and demonstrably fails to recover in the same window — the
 //!    metastable failure the budget exists to prevent.
 //!
-//! Everything is seeded; `service_pad` plus a one-shot capacity
-//! calibration pin the offered-load ratios so they hold across hardware
-//! and debug/release builds.
+//! Everything is seeded; `service_pad` plus a capacity calibration taken
+//! right before each experiment pin the offered-load ratios so they hold
+//! across hardware and debug/release builds.
 
 mod common;
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hattrick_repro::bench::gen::{generate, ScaleFactor};
 use hattrick_repro::bench::harness::{
     BenchmarkConfig, Harness, OpenLoopMeasurement, RetryBudgetConfig, RetryPolicy,
+    TimeSeriesSample,
 };
 use hattrick_repro::bench::openloop::{ArrivalShape, OpenLoopConfig};
 use hattrick_repro::bench::report;
@@ -60,30 +61,12 @@ const WORKERS: u32 = 4;
 const SERVICE_PAD: Duration = Duration::from_millis(1);
 const DEADLINE: Duration = Duration::from_millis(25);
 
-/// Offered base load: 50% of the worker pool's *measured* capacity.
-/// Calibrated once per process from a short single-client closed loop,
-/// so the load ratios that drive every assertion (base ≈ 0.5×, burst
-/// ≈ 5× capacity) hold across debug/release builds and machine speeds.
+/// Offered base load: 50% of the worker pool's *measured* capacity, so
+/// the load ratios that drive every assertion (base ≈ 0.5×, burst ≈ 5×
+/// capacity) hold across debug/release builds and machine speeds.
+/// Measured again by every attempt, right before the runs it sizes.
 fn base_rate() -> f64 {
-    static RATE: OnceLock<f64> = OnceLock::new();
-    *RATE.get_or_init(|| {
-        let data = generate(ScaleFactor(0.001), 0xD5);
-        let engine = ShdEngine::new(EngineConfig::default());
-        data.load_into(&engine).unwrap();
-        let h = Harness::new(
-            Arc::new(engine),
-            data.profile.clone(),
-            BenchmarkConfig {
-                seed: 0xCA11,
-                warmup: Duration::from_millis(50),
-                measure: Duration::from_millis(250),
-                ..BenchmarkConfig::default()
-            },
-        );
-        let tps = h.run_point(1, 0).unwrap().tps.max(50.0);
-        let per_req = 1.0 / tps + SERVICE_PAD.as_secs_f64();
-        0.5 * f64::from(WORKERS) / per_req
-    })
+    common::base_rate(WORKERS, SERVICE_PAD)
 }
 
 /// Serializes the open-loop runs: each drives a worker pool plus a
@@ -94,24 +77,6 @@ static DRIVER: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     DRIVER.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs a timing-sensitive experiment up to three times. These tests
-/// assert capacity *ratios* over wall-clock windows, and a CPU-steal
-/// spike on a shared runner can smear any single window; a real
-/// regression in shedding/recovery logic fails all three attempts.
-fn with_noise_retries(f: impl Fn()) {
-    for attempt in 0..3 {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&f)) {
-            Ok(()) => return,
-            Err(payload) => {
-                if attempt == 2 {
-                    std::panic::resume_unwind(payload);
-                }
-                eprintln!("timing-sensitive attempt {attempt} failed; retrying");
-            }
-        }
-    }
 }
 
 fn overload_harness(retry: RetryPolicy) -> Harness {
@@ -125,9 +90,9 @@ fn overload_harness(retry: RetryPolicy) -> Harness {
     )
 }
 
-fn step_config() -> OpenLoopConfig {
+fn step_config(arrival_rate: f64) -> OpenLoopConfig {
     OpenLoopConfig {
-        arrival_rate: base_rate(),
+        arrival_rate,
         shape: ArrivalShape::Step {
             mult: 10.0,
             from_tick: BURST_FROM,
@@ -172,12 +137,12 @@ fn window(m: &OpenLoopMeasurement, from: u32, until: u32, f: fn(&hattrick_repro:
 #[test]
 fn step_burst_sheds_predictably_and_recovers_with_budget() {
     let _x = exclusive();
-    with_noise_retries(step_burst_case);
+    common::with_noise_retries(step_burst_case);
 }
 
 fn step_burst_case() {
     let harness = overload_harness(budget_policy());
-    let m = harness.run_open_loop(&step_config()).unwrap();
+    let m = harness.run_open_loop(&step_config(base_rate())).unwrap();
 
     // The schedule really is a step: burst ticks offer ~10x base ticks.
     let base_offered = window(&m, 0, BURST_FROM, |t| t.offered);
@@ -266,14 +231,17 @@ fn step_burst_case() {
     assert!(line.contains("sojourn"), "{line}");
     assert!(m.point.metrics.counter(names::OPENLOOP_OFFERED) == m.offered());
     assert!(m.point.timeseries.len() == TICKS as usize);
-    assert!(m.point.timeseries.iter().any(|s| s.shed_overload > 0));
-    assert!(m.point.timeseries.iter().all(|s| s.shed == 0));
+    let tick = |s: &TimeSeriesSample, name| s.metrics.counter(name);
+    assert!(m.point.timeseries.iter().any(|s| {
+        tick(s, names::OPENLOOP_SHED_QUEUE) + tick(s, names::OPENLOOP_SHED_STALE) > 0
+    }));
+    assert!(m.point.timeseries.iter().all(|s| tick(s, names::OPENLOOP_SHED_DEGRADED) == 0));
 }
 
 #[test]
 fn unbudgeted_control_arm_fails_to_recover() {
     let _x = exclusive();
-    with_noise_retries(control_arm_case);
+    common::with_noise_retries(control_arm_case);
 }
 
 fn control_arm_case() {
@@ -281,12 +249,9 @@ fn control_arm_case() {
     // the retry budget. The budgeted arm converges after the burst; the
     // control arm's own retries (of shed and timed-out-but-committed
     // work) sustain the overload past the burst's end.
-    let budgeted = overload_harness(budget_policy())
-        .run_open_loop(&step_config())
-        .unwrap();
-    let control = overload_harness(unbudgeted_policy())
-        .run_open_loop(&step_config())
-        .unwrap();
+    let step = step_config(base_rate());
+    let budgeted = overload_harness(budget_policy()).run_open_loop(&step).unwrap();
+    let control = overload_harness(unbudgeted_policy()).run_open_loop(&step).unwrap();
 
     // Identical offered load per tick (seeded schedule).
     let a: Vec<u64> = budgeted.ticks.iter().map(|t| t.offered).collect();
@@ -334,8 +299,9 @@ fn open_loop_offered_series_is_deterministic() {
     // Two harnesses, same seed and config: byte-identical offered load
     // per tick, even though completions race real threads.
     let _x = exclusive();
-    let a = overload_harness(budget_policy()).run_open_loop(&step_config()).unwrap();
-    let b = overload_harness(budget_policy()).run_open_loop(&step_config()).unwrap();
+    let step = step_config(base_rate());
+    let a = overload_harness(budget_policy()).run_open_loop(&step).unwrap();
+    let b = overload_harness(budget_policy()).run_open_loop(&step).unwrap();
     let oa: Vec<u64> = a.ticks.iter().map(|t| t.offered).collect();
     let ob: Vec<u64> = b.ticks.iter().map(|t| t.offered).collect();
     assert_eq!(oa, ob);
@@ -348,7 +314,7 @@ fn open_loop_offered_series_is_deterministic() {
         data.profile.clone(),
         BenchmarkConfig { seed: 0xF00D, ..BenchmarkConfig::default() },
     );
-    let c = other.run_open_loop(&step_config()).unwrap();
+    let c = other.run_open_loop(&step).unwrap();
     let oc: Vec<u64> = c.ticks.iter().map(|t| t.offered).collect();
     assert_ne!(oa, oc);
 }
@@ -357,7 +323,7 @@ fn open_loop_offered_series_is_deterministic() {
 fn open_loop_rejects_invalid_config_with_typed_error() {
     let _x = exclusive();
     let harness = overload_harness(RetryPolicy::default());
-    let bad = OpenLoopConfig { workers: 0, ..step_config() };
+    let bad = OpenLoopConfig { workers: 0, ..step_config(base_rate()) };
     let err = harness.run_open_loop(&bad).unwrap_err();
     assert!(
         matches!(err, hattrick_repro::common::HatError::InvalidConfig(_)),

@@ -21,16 +21,18 @@
 //!    both, which is exactly "outside the static frontier".
 //! 4. **Trace structure** — the burst shows up in the decision trace as
 //!    a pressure move, the calm aftermath as a give-back, and the
-//!    artifact's `t_cores`/`a_cores` columns always sum to the budget.
+//!    artifact's `sched.t_cores`/`sched.a_cores` gauges always sum to
+//!    the budget.
 
 mod common;
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hattrick_repro::bench::gen::{generate, ScaleFactor};
 use hattrick_repro::bench::harness::{
     BenchmarkConfig, Harness, OpenLoopMeasurement, RetryBudgetConfig, RetryPolicy,
+    TimeSeriesSample,
 };
 use hattrick_repro::bench::openloop::{arrival_schedule, ArrivalShape, OpenLoopConfig};
 use hattrick_repro::bench::sched::{
@@ -61,29 +63,12 @@ fn sched_target() -> SchedTarget {
 }
 
 /// Offered base load: 50% of a two-worker pool's *measured* capacity —
-/// calm at the (2,2) split, ~5× over it during the burst. Calibrated
-/// once per process (same approach as tests/overload.rs) so the ratios
-/// hold across debug/release builds and machine speeds.
+/// calm at the (2,2) split, ~5× over it during the burst. Measured again
+/// by every attempt, right before the runs it sizes (same approach as
+/// tests/overload.rs), so the ratios hold across debug/release builds
+/// and machine speeds.
 fn base_rate() -> f64 {
-    static RATE: OnceLock<f64> = OnceLock::new();
-    *RATE.get_or_init(|| {
-        let data = generate(ScaleFactor(0.001), 0xD5);
-        let engine = ShdEngine::new(EngineConfig::default());
-        data.load_into(&engine).unwrap();
-        let h = Harness::new(
-            Arc::new(engine),
-            data.profile.clone(),
-            BenchmarkConfig {
-                seed: 0xCA11,
-                warmup: Duration::from_millis(50),
-                measure: Duration::from_millis(250),
-                ..BenchmarkConfig::default()
-            },
-        );
-        let tps = h.run_point(1, 0).unwrap().tps.max(50.0);
-        let per_req = 1.0 / tps + SERVICE_PAD.as_secs_f64();
-        0.5 * 2.0 / per_req
-    })
+    common::base_rate(2, SERVICE_PAD)
 }
 
 /// Serializes the open-loop runs (wall-clock-sensitive; see
@@ -92,22 +77,6 @@ static DRIVER: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     DRIVER.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Retries a timing-sensitive experiment up to three times; a real
-/// scheduler regression fails all three.
-fn with_noise_retries(f: impl Fn()) {
-    for attempt in 0..3 {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&f)) {
-            Ok(()) => return,
-            Err(payload) => {
-                if attempt == 2 {
-                    std::panic::resume_unwind(payload);
-                }
-                eprintln!("timing-sensitive attempt {attempt} failed; retrying");
-            }
-        }
-    }
 }
 
 fn sched_harness() -> Harness {
@@ -128,9 +97,9 @@ fn sched_harness() -> Harness {
     )
 }
 
-fn step_config() -> OpenLoopConfig {
+fn step_config(arrival_rate: f64) -> OpenLoopConfig {
     OpenLoopConfig {
-        arrival_rate: base_rate(),
+        arrival_rate,
         shape: ArrivalShape::Step {
             mult: 10.0,
             from_tick: BURST_FROM,
@@ -147,8 +116,8 @@ fn step_config() -> OpenLoopConfig {
     }
 }
 
-fn run(policy: &SchedPolicy) -> OpenLoopMeasurement {
-    sched_harness().run_open_loop_sched(&step_config(), policy).unwrap()
+fn run(step: &OpenLoopConfig, policy: &SchedPolicy) -> OpenLoopMeasurement {
+    sched_harness().run_open_loop_sched(step, policy).unwrap()
 }
 
 /// Replays the seeded arrival schedule through a fixed, deterministic
@@ -177,7 +146,7 @@ fn controller_trace_is_byte_identical_across_runs() {
     // Same seed, same arrival schedule, three independent simulations:
     // the decision traces agree byte for byte. This is the determinism
     // contract `SchedDecision::line` exists for.
-    let ol = step_config();
+    let ol = step_config(base_rate());
     let signals = modeled_signals(&ol, 0xBEEF);
     let target = sched_target();
     let traces: Vec<String> = (0..3)
@@ -223,17 +192,18 @@ fn anti_flap_bounds_reassignments_under_constant_load() {
 #[test]
 fn elastic_pushes_the_frontier_past_every_pinned_split() {
     let _x = exclusive();
-    with_noise_retries(frontier_push_case);
+    common::with_noise_retries(frontier_push_case);
 }
 
 fn frontier_push_case() {
     let target = sched_target();
-    let elastic = run(&SchedPolicy::Elastic { target });
+    let step = step_config(base_rate());
+    let elastic = run(&step, &SchedPolicy::Elastic { target });
     // The two eligible static splits of the same budget: the one that
     // matches elastic's calm analytical allocation, and the one that
     // matches its burst-time serving capacity.
-    let even = run(&SchedPolicy::Pinned { budget: BUDGET, t_cores: 2 });
-    let t_heavy = run(&SchedPolicy::Pinned { budget: BUDGET, t_cores: 3 });
+    let even = run(&step, &SchedPolicy::Pinned { budget: BUDGET, t_cores: 2 });
+    let t_heavy = run(&step, &SchedPolicy::Pinned { budget: BUDGET, t_cores: 3 });
 
     // Same seed ⇒ identical offered schedules across all three arms.
     let offered = |m: &OpenLoopMeasurement| -> Vec<u64> {
@@ -289,12 +259,13 @@ fn frontier_push_case() {
 #[test]
 fn elastic_trace_follows_the_burst_and_lands_in_the_artifact() {
     let _x = exclusive();
-    with_noise_retries(trace_structure_case);
+    common::with_noise_retries(trace_structure_case);
 }
 
 fn trace_structure_case() {
     let target = sched_target();
-    let m = run(&SchedPolicy::Elastic { target });
+    let step = step_config(base_rate());
+    let m = run(&step, &SchedPolicy::Elastic { target });
 
     // One decision per tick, numbered by the tick it takes effect in.
     assert_eq!(m.decisions.len(), TICKS as usize);
@@ -332,15 +303,18 @@ fn trace_structure_case() {
         trace_lines(&m.decisions)
     );
 
-    // The allocation trace rides the timeseries into the artifact
-    // (schema v6 columns), and static runs keep the columns at zero.
+    // The allocation trace rides the timeseries into the artifact as
+    // the `sched.*` split gauges, which static runs do not carry.
+    let split = |s: &TimeSeriesSample| {
+        (s.metrics.gauge(names::SCHED_T_CORES), s.metrics.gauge(names::SCHED_A_CORES))
+    };
     assert_eq!(m.point.timeseries.len(), TICKS as usize);
     for (s, d) in m.point.timeseries.iter().zip(&m.decisions) {
-        assert_eq!((s.t_cores, s.a_cores), (d.t_cores, d.a_cores));
+        assert_eq!(split(s), (u64::from(d.t_cores), u64::from(d.a_cores)));
     }
     assert_eq!(m.point.a_clients, 1);
-    let static_m = sched_harness().run_open_loop(&step_config()).unwrap();
-    assert!(static_m.point.timeseries.iter().all(|s| s.t_cores == 0 && s.a_cores == 0));
+    let static_m = sched_harness().run_open_loop(&step).unwrap();
+    assert!(static_m.point.timeseries.iter().all(|s| split(s) == (0, 0)));
     assert!(static_m.decisions.is_empty());
     assert!(report::sched_line(&static_m.point.metrics).is_none());
 }
@@ -348,7 +322,8 @@ fn trace_structure_case() {
 #[test]
 fn pinned_runs_carry_a_constant_trace_and_budget_is_validated() {
     let _x = exclusive();
-    let m = run(&SchedPolicy::Pinned { budget: BUDGET, t_cores: 3 });
+    let step = step_config(base_rate());
+    let m = run(&step, &SchedPolicy::Pinned { budget: BUDGET, t_cores: 3 });
     assert_eq!(m.decisions.len(), TICKS as usize);
     assert!(m.decisions.iter().all(|d| (d.t_cores, d.a_cores) == (3, 1)));
     assert_eq!(split_changes(&m.decisions), 0);
@@ -364,7 +339,7 @@ fn pinned_runs_carry_a_constant_trace_and_budget_is_validated() {
     // An out-of-range budget is a typed config error, not a panic.
     let err = sched_harness()
         .run_open_loop_sched(
-            &step_config(),
+            &step,
             &SchedPolicy::Elastic { target: SchedTarget::with_budget(65) },
         )
         .unwrap_err();
@@ -374,7 +349,7 @@ fn pinned_runs_carry_a_constant_trace_and_budget_is_validated() {
     );
     let err = sched_harness()
         .run_open_loop_sched(
-            &step_config(),
+            &step,
             &SchedPolicy::Pinned { budget: 65, t_cores: 60 },
         )
         .unwrap_err();
