@@ -120,9 +120,6 @@ pub mod names {
     pub const VACUUM_PASSES: &str = "vacuum.passes";
     /// Row versions reclaimed by vacuum (all passes, all tables).
     pub const VACUUM_VERSIONS_PRUNED: &str = "vacuum.versions_pruned";
-    /// Dead secondary-index entries reclaimed by the vacuum sweep
-    /// (lineorder composite indexes; entries whose rid has no live slot).
-    pub const VACUUM_INDEX_SWEPT: &str = "vacuum.index_entries_swept";
     /// Live MVCC versions across every chain in the row store (gauge;
     /// the long-run memory-plateau signal).
     pub const LIVE_VERSIONS: &str = "vacuum.live_versions";

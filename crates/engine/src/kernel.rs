@@ -77,8 +77,10 @@ pub struct IndexSet {
     supplier_name: RwLock<BPlusTree<String, RowId>>,
     part_pk: RwLock<BPlusTree<u32, RowId>>,
     date_pk: RwLock<BPlusTree<u32, RowId>>,
-    /// `(lo_custkey, rid) -> ()` — Count Orders prefix scans.
-    lineorder_cust: RwLock<BPlusTree<(u32, RowId), ()>>,
+    /// `(lo_custkey, rid) -> insert ts` — Count Orders prefix scans.
+    /// Lineorder rows are insert-only, so the insert timestamp alone
+    /// decides whether a snapshot sees the row.
+    lineorder_cust: RwLock<BPlusTree<(u32, RowId), Ts>>,
     /// `(lo_orderdate, rid) -> ()` — analytical date prefiltering
     /// (`All` profile only).
     lineorder_date: RwLock<BPlusTree<(u32, RowId), ()>>,
@@ -104,9 +106,8 @@ impl IndexSet {
         self.profile
     }
 
-    /// Index a freshly loaded/inserted row. Called with the row already
-    /// installed.
-    fn index_row(&self, table: TableId, rid: RowId, row: &Row) {
+    /// Index a freshly loaded/inserted row, already installed at `ts`.
+    fn index_row(&self, table: TableId, rid: RowId, row: &Row, ts: Ts) {
         if !self.profile.has_txn_indexes() {
             return;
         }
@@ -133,7 +134,7 @@ impl IndexSet {
             }
             TableId::Lineorder => {
                 let ck = row[lineorder::CUSTKEY].as_u32().expect("typed");
-                self.lineorder_cust.write().insert((ck, rid), ());
+                self.lineorder_cust.write().insert((ck, rid), ts);
                 if self.profile.has_analytic_indexes() {
                     let od = row[lineorder::ORDERDATE].as_u32().expect("typed");
                     self.lineorder_date.write().insert((od, rid), ());
@@ -172,22 +173,22 @@ impl IndexSet {
         Some(tree.read().get(key).copied())
     }
 
-    /// Rids of lineorder rows for `custkey` via the composite index.
-    fn lineorder_rids_for_customer(&self, custkey: u32) -> Option<Vec<RowId>> {
+    /// Lineorder rows of `custkey` inserted at or below `ts`, via the
+    /// composite index.
+    fn count_orders_at(&self, custkey: u32, ts: Ts) -> Option<u64> {
         if !self.profile.has_txn_indexes() {
             return None;
         }
-        let tree = self.lineorder_cust.read();
-        let mut rids = Vec::new();
-        tree.range(
+        let mut n = 0;
+        self.lineorder_cust.read().range(
             std::ops::Bound::Included(&(custkey, 0)),
             std::ops::Bound::Excluded(&(custkey + 1, 0)),
-            |&(_, rid), _| {
-                rids.push(rid);
+            |_, &insert_ts| {
+                n += u64::from(insert_ts <= ts);
                 true
             },
         );
-        Some(rids)
+        Some(n)
     }
 
     /// Rids of lineorder rows with orderdate in `[lo, hi]` via the date
@@ -209,38 +210,31 @@ impl IndexSet {
         Some(rids)
     }
 
-    /// Live entry count across both lineorder composite indexes. The
-    /// vacuum sweep keeps this proportional to the live row count; the
-    /// plateau is asserted in the vacuum tests.
+    /// Entry count across both lineorder composite indexes: one per
+    /// indexed row each, since [`RowKernel::reset`] trims the entries of
+    /// the rows it truncates.
     pub fn lineorder_entries(&self) -> u64 {
         (self.lineorder_cust.read().len() + self.lineorder_date.read().len()) as u64
     }
 
-    /// Sweeps dead lineorder index entries: removes every `(key, rid)`
-    /// pair whose rid no longer holds a committed version in `store`
-    /// (slot emptied by a benchmark reset or truncation). Piggybacked on
-    /// the vacuum prune horizon — once vacuum runs, an emptied slot can
-    /// never become visible again, so removal is safe without locking
-    /// the row. Returns the number of entries reclaimed.
-    fn sweep_dead(&self, store: &RowStore) -> u64 {
-        if !self.profile.has_txn_indexes() {
-            return 0;
-        }
-        let mut swept = 0;
-        for tree in [&self.lineorder_cust, &self.lineorder_date] {
-            let mut guard = tree.write();
-            let mut stale = Vec::new();
-            guard.for_each(|&(k, rid), _| {
-                if store.latest_ts(rid).is_none() {
-                    stale.push((k, rid));
+    /// Drops every lineorder entry whose rid is `loaded` or above — the
+    /// rids a reset truncates. Lineorder rows are insert-only, so no
+    /// entry below `loaded` can point at an emptied slot.
+    fn trim_lineorder(&self, loaded: RowId) {
+        fn trim<V>(tree: &RwLock<BPlusTree<(u32, RowId), V>>, loaded: RowId) {
+            let mut tree = tree.write();
+            let mut grown = Vec::new();
+            tree.for_each(|&key, _| {
+                if key.1 >= loaded {
+                    grown.push(key);
                 }
             });
-            for key in stale {
-                guard.remove(&key);
-                swept += 1;
+            for key in grown {
+                tree.remove(&key);
             }
         }
-        swept
+        trim(&self.lineorder_cust, loaded);
+        trim(&self.lineorder_date, loaded);
     }
 }
 
@@ -290,8 +284,6 @@ pub struct KernelStats {
     pub vacuum_passes: Arc<Counter>,
     /// Row versions reclaimed by vacuum.
     pub versions_pruned: Arc<Counter>,
-    /// Dead secondary-index entries reclaimed by the vacuum sweep.
-    pub index_entries_swept: Arc<Counter>,
     /// Live versions across the row store (refreshed by every vacuum
     /// pass and by [`RowKernel::metrics`]).
     pub live_versions: Arc<Gauge>,
@@ -323,7 +315,6 @@ impl Default for KernelStats {
             probe_span: registry.histogram(names::SPAN_QUERY_PROBE),
             vacuum_passes: registry.counter(names::VACUUM_PASSES),
             versions_pruned: registry.counter(names::VACUUM_VERSIONS_PRUNED),
-            index_entries_swept: registry.counter(names::VACUUM_INDEX_SWEPT),
             live_versions: registry.gauge(names::LIVE_VERSIONS),
             chain_length: registry.histogram(names::VACUUM_CHAIN_LENGTH),
             registry,
@@ -436,7 +427,7 @@ impl RowKernel {
                 let store = self.db.store(tc.table);
                 for (rid, ts, row) in &tc.rows {
                     store.install_insert_gapped(*rid, Arc::clone(row), *ts)?;
-                    self.indexes.index_row(tc.table, *rid, row);
+                    self.indexes.index_row(tc.table, *rid, row, *ts);
                 }
             }
         }
@@ -446,7 +437,7 @@ impl RowKernel {
                     TableOp::Insert { table, rid, row } => {
                         let store = self.db.store(*table);
                         store.install_insert_gapped(*rid, Arc::clone(row), rec.commit_ts)?;
-                        self.indexes.index_row(*table, *rid, row);
+                        self.indexes.index_row(*table, *rid, row, rec.commit_ts);
                     }
                     TableOp::Update { table, rid, row } => {
                         self.db
@@ -503,7 +494,7 @@ impl RowKernel {
         let store = self.db.store(table);
         for row in rows {
             let rid = store.install_insert(Arc::clone(&row), LOAD_TS);
-            self.indexes.index_row(table, rid, &row);
+            self.indexes.index_row(table, rid, &row, LOAD_TS);
         }
         Ok(())
     }
@@ -538,7 +529,7 @@ impl RowKernel {
                 store.revert_versions_after(LOAD_TS);
             }
         }
-        self.indexes.sweep_dead(self.db.store(TableId::Lineorder));
+        self.indexes.trim_lineorder(counts[TableId::Lineorder.index()]);
         if self.durability.health() == HealthState::Healthy {
             self.checkpoint()?;
         }
@@ -576,11 +567,6 @@ impl RowKernel {
         let horizon = self.snapshots.prune_horizon(frontier);
         let chain_hist = &self.stats.chain_length;
         let stats = self.db.vacuum(horizon, |len| chain_hist.record(len));
-        // Piggyback the secondary-index sweep on the same horizon: any
-        // lineorder rid whose slot is empty by now (reset/truncation) can
-        // never become visible again, so its index entries are dead.
-        let swept = self.indexes.sweep_dead(self.db.store(TableId::Lineorder));
-        self.stats.index_entries_swept.add(swept);
         self.stats.vacuum_passes.inc();
         self.stats.versions_pruned.add(stats.freed);
         self.stats.live_versions.set(self.db.live_versions());
@@ -688,11 +674,7 @@ impl KernelSession {
 }
 
 /// Timestamp of the version of `rid` visible at `ts`.
-fn visible_version_ts(
-    store: &hat_storage::rowstore::RowStore,
-    rid: RowId,
-    ts: Ts,
-) -> Option<Ts> {
+fn visible_version_ts(store: &RowStore, rid: RowId, ts: Ts) -> Option<Ts> {
     // The newest version overall: if it's visible, its ts is the answer;
     // otherwise validation only needs *a* stable token — we use the latest
     // visible ts via a read. To avoid a second chain walk API we
@@ -756,35 +738,17 @@ impl Session for KernelSession {
             return Err(HatError::TxnClosed);
         }
         let ts = self.read_ts();
-        let store = self.kernel.db.store(TableId::Lineorder);
-        match self.kernel.indexes.lineorder_rids_for_customer(custkey) {
-            Some(rids) => {
-                // Index entries may point at rows newer than our snapshot;
-                // verify visibility per rid (lineorder rows are
-                // insert-only, so latest_ts is the insert ts).
-                let mut n = 0;
-                for rid in rids {
-                    if store.latest_ts(rid).map(|t| t <= ts).unwrap_or(false) {
-                        n += 1;
-                    }
-                }
-                Ok(n)
-            }
-            None => {
-                // No-index fallback: scan the fact table.
-                let mut n = 0;
-                store.scan(ts, |_, row| {
-                    if row[lineorder::CUSTKEY]
-                        .as_u32()
-                        .map(|v| v == custkey)
-                        .unwrap_or(false)
-                    {
-                        n += 1;
-                    }
-                });
-                Ok(n)
-            }
+        if let Some(n) = self.kernel.indexes.count_orders_at(custkey, ts) {
+            return Ok(n);
         }
+        // No-index fallback: scan the fact table.
+        let mut n = 0;
+        self.kernel.db.store(TableId::Lineorder).scan(ts, |_, row| {
+            if row[lineorder::CUSTKEY].as_u32() == Ok(custkey) {
+                n += 1;
+            }
+        });
+        Ok(n)
     }
 
     fn read(&mut self, table: TableId, rid: RowId) -> Result<Option<Row>> {
@@ -919,7 +883,7 @@ impl Session for KernelSession {
                 WriteOp::Insert { table, row } => {
                     let store = kernel.db.store(*table);
                     let rid = store.install_insert(Arc::clone(row), commit_ts);
-                    kernel.indexes.index_row(*table, rid, row);
+                    kernel.indexes.index_row(*table, rid, row, commit_ts);
                     redo.push(TableOp::Insert { table: *table, rid, row: Arc::clone(row) });
                 }
                 WriteOp::Update { table, rid, row } => {
@@ -1169,17 +1133,33 @@ mod tests {
 
     #[test]
     fn count_orders_scan_fallback_matches_index() {
-        for profile in [IndexProfile::Semi, IndexProfile::None] {
+        for profile in [IndexProfile::All, IndexProfile::Semi, IndexProfile::None] {
             let k = kernel(IsolationLevel::SnapshotIsolation, profile);
             load_customers(&k, 3);
+            let insert = |orders: std::ops::Range<u64>, custkey: fn(u64) -> u32| {
+                let mut s = k.begin_session();
+                for i in orders {
+                    s.insert(TableId::Lineorder, lineorder_row(i, custkey(i))).unwrap();
+                }
+                assert!(Box::new(s).commit().unwrap().is_acked());
+            };
+            insert(0..6, |i| (i % 2) as u32 + 1);
+            // A session opened before more inserts keeps counting what
+            // its snapshot saw.
+            let mut before = k.begin_session();
+            insert(6..10, |_| 1);
+            assert_eq!(before.count_orders(1).unwrap(), 3, "profile {profile:?}");
+            Box::new(before).abort();
             let mut s = k.begin_session();
-            for i in 0..6u64 {
-                s.insert(TableId::Lineorder, lineorder_row(i, (i % 2) as u32 + 1))
-                    .unwrap();
-            }
-            assert!(Box::new(s).commit().unwrap().is_acked());
+            assert_eq!(s.count_orders(1).unwrap(), 7, "profile {profile:?}");
+            Box::new(s).abort();
+            // After reset, rid 0 is reused by customer 3: it counts for
+            // customer 3 only, not for customer 1 who held it before.
+            k.reset().unwrap();
+            insert(0..1, |_| 3);
             let mut s = k.begin_session();
-            assert_eq!(s.count_orders(1).unwrap(), 3, "profile {profile:?}");
+            assert_eq!(s.count_orders(1).unwrap(), 0, "profile {profile:?}");
+            assert_eq!(s.count_orders(3).unwrap(), 1, "profile {profile:?}");
             Box::new(s).abort();
         }
     }
@@ -1265,10 +1245,9 @@ mod tests {
         assert_eq!(row[customer::PAYMENTCNT].as_u32().unwrap(), 0);
         Box::new(s).abort();
 
-        // Secondary-index sweep: dead lineorder entries are reclaimed at
-        // the vacuum horizon, so repeated grow/trim cycles plateau at the
-        // live row count instead of leaking index entries.
-        let store = k.db.store(TableId::Lineorder);
+        // Reset trims the lineorder entries of the rows it truncates, so
+        // repeated grow/reset cycles plateau at the live row count instead
+        // of leaking index entries.
         for cycle in 0..3u32 {
             let mut s = k.begin_session();
             for i in 0..8u64 {
@@ -1277,15 +1256,40 @@ mod tests {
             assert!(Box::new(s).commit().unwrap().is_acked());
             // `All` profile: one cust entry + one date entry per row.
             assert_eq!(k.indexes.lineorder_entries(), 16, "cycle {cycle}: live rows indexed");
-            store.truncate_slots(0);
-            k.vacuum_pass();
+            k.reset().unwrap();
             assert_eq!(
                 k.indexes.lineorder_entries(),
                 0,
-                "cycle {cycle}: the sweep holds the index-size plateau"
+                "cycle {cycle}: reset holds the index-size plateau"
             );
         }
-        assert_eq!(k.metrics().counter(names::VACUUM_INDEX_SWEPT), 48);
+    }
+
+    #[test]
+    fn vacuum_pass_never_waits_on_an_index() {
+        // Readers hold both lineorder indexes for the whole pass; a pass
+        // that locked either one for writing would wait for them.
+        let k = kernel(IsolationLevel::SnapshotIsolation, IndexProfile::All);
+        load_customers(&k, 4);
+        let mut s = k.begin_session();
+        for i in 0..8u64 {
+            s.insert(TableId::Lineorder, lineorder_row(i, 1)).unwrap();
+        }
+        assert!(Box::new(s).commit().unwrap().is_acked());
+        let held = (k.indexes.lineorder_cust.read(), k.indexes.lineorder_date.read());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pass = std::thread::spawn({
+            let k = Arc::clone(&k);
+            move || {
+                k.vacuum_pass();
+                let _ = tx.send(());
+            }
+        });
+        let finished = rx.recv_timeout(std::time::Duration::from_secs(10));
+        // Release before asserting, so a pass that does wait ends too.
+        drop(held);
+        pass.join().unwrap();
+        assert!(finished.is_ok(), "vacuum pass blocked on a held lineorder index");
     }
 
     #[test]

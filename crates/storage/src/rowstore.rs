@@ -199,8 +199,8 @@ impl RowStore {
     /// gaps. Rids are allocated inside the commit critical section, so a
     /// log replayed in order normally lands each insert at the next free
     /// id. Replay does not rely on that: an id it never sees stays an
-    /// empty slot forever, which readers and scans already skip, and the
-    /// vacuum's index sweep unhooks any index entry pointing at one.
+    /// empty slot forever, which readers and scans already skip; replay
+    /// indexes only the rows it installs, so no index entry points at one.
     pub fn install_insert_gapped(&self, rid: RowId, row: Row, ts: Ts) -> Result<()> {
         let mut cur = self.count.load(Ordering::Acquire);
         while cur <= rid {

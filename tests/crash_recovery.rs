@@ -22,11 +22,11 @@
 
 use std::path::{Path, PathBuf};
 
-use hattrick_repro::common::ids::{history, supplier, TableId};
+use hattrick_repro::common::ids::{history, lineorder, supplier, TableId};
 use hattrick_repro::common::rng::HatRng;
 use hattrick_repro::common::telemetry::names;
 use hattrick_repro::common::value::{row_from, row_with};
-use hattrick_repro::common::{HatError, Money, Value};
+use hattrick_repro::common::{HatError, Money, Row, Value};
 use hattrick_repro::engine::{
     DurabilityMode, EngineConfig, HtapEngine, KillPoint, NamedIndex, ShdEngine,
     WalConfig,
@@ -456,6 +456,75 @@ fn reopen_after_reset_recovers_the_live_rows() {
         let engine = ShdEngine::try_new(fsync_config(&dir))
             .unwrap_or_else(|e| panic!("reopen after reset failed: {e} (seed {seed})"));
         assert_eq!((recovered_amounts(&engine), total_ytd(&engine)), live, "seed {seed}");
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A LINEORDER row of customer `custkey`.
+fn lineorder_row(orderkey: u64, custkey: u32) -> Row {
+    let mut cols: Vec<Value> = (0..lineorder::WIDTH).map(|_| Value::U32(1)).collect();
+    cols[lineorder::ORDERKEY] = Value::U64(orderkey);
+    cols[lineorder::CUSTKEY] = Value::U32(custkey);
+    cols[lineorder::ORDERDATE] = Value::U32(19940101);
+    row_from(cols)
+}
+
+#[test]
+fn count_orders_after_reopen_matches_the_count_before_the_crash() {
+    // Count Orders reads each lineorder index entry's insert timestamp.
+    // After a reopen those come from the checkpoint image (rows loaded
+    // and rows committed before the mid-stream checkpoint) and from the
+    // WAL tail (rows committed after it); a wrong stamp hides a row from
+    // its customer's count.
+    const NCUST: u32 = 5;
+    fn order_batch(
+        engine: &ShdEngine,
+        rng: &mut HatRng,
+        next: &mut u64,
+        n: u64,
+    ) -> Result<(), HatError> {
+        let mut s = engine.begin();
+        for _ in 0..n {
+            *next += 1;
+            s.insert(TableId::Lineorder, lineorder_row(*next, rng.range_u32(1, NCUST)))?;
+        }
+        s.commit().map(|_| ())
+    }
+    fn counts(engine: &ShdEngine) -> Vec<u64> {
+        let mut s = engine.begin();
+        let counts = (1..=NCUST).map(|c| s.count_orders(c).unwrap()).collect();
+        s.abort();
+        counts
+    }
+    for seed in seeds() {
+        let dir = wal_dir("count-orders", seed);
+        let mut rng = HatRng::seeded(seed);
+        let mut next = 0;
+        let before = {
+            let engine = ShdEngine::try_new(fsync_config(&dir)).expect("open engine");
+            let loaded: Vec<Row> =
+                (0..8).map(|i| lineorder_row(1_000 + i, rng.range_u32(1, NCUST))).collect();
+            engine.load(TableId::Lineorder, &mut loaded.into_iter()).unwrap();
+            engine.finish_load().unwrap();
+            for _ in 0..4 {
+                order_batch(&engine, &mut rng, &mut next, 3).unwrap();
+            }
+            engine.checkpoint().unwrap();
+            for _ in 0..4 {
+                order_batch(&engine, &mut rng, &mut next, 3).unwrap();
+            }
+            let before = counts(&engine);
+            assert_eq!(before.iter().sum::<u64>(), 8 + 24, "seed {seed}");
+            // The crashing batch is never flushed, so recovery drops it.
+            let wal = engine.kernel().durability.wal().expect("fsync mode");
+            wal.arm_kill(KillPoint::BeforeFlush);
+            let err = order_batch(&engine, &mut rng, &mut next, 3).expect_err("kill fires");
+            assert!(matches!(err, HatError::EngineStopped), "got {err}");
+            before
+        };
+        let engine = ShdEngine::try_new(fsync_config(&dir)).expect("reopen");
+        assert_eq!(counts(&engine), before, "seed {seed}");
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
